@@ -11,7 +11,6 @@ from .bb import (
     SearchReport,
     bb_first,
     bb_pareto,
-    bound_exceeded,
 )
 from .dfg import (
     CycleError,
@@ -26,7 +25,7 @@ from .dfg import (
     topological_order,
     validate_schedule,
 )
-from .listsched import Budget, Priority, list_schedule
+from .listsched import Priority, list_schedule
 from .oracle import (
     EnumerationBound,
     StateSpaceTooLarge,
@@ -37,6 +36,7 @@ from .oracle import (
 from .power import (
     POWER_EPS,
     ArchMode,
+    Budget,
     CostTuple,
     LibraryError,
     ParetoEntry,
@@ -47,7 +47,6 @@ from .power import (
     area_of,
     cost_equal,
     dominates,
-    dominates3,
     load_resource_library,
     power_of,
     schedule_cost,
@@ -81,11 +80,9 @@ __all__ = [
     "area_of",
     "bb_first",
     "bb_pareto",
-    "bound_exceeded",
     "compute_timing",
     "cost_equal",
     "dominates",
-    "dominates3",
     "enumerate_schedules",
     "list_schedule",
     "load_resource_library",

@@ -23,10 +23,11 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .dfg import Dfg, Schedule, TimingInfo, topological_order
-from .listsched import Budget, Priority, list_schedule
+from .listsched import Priority, list_schedule
 from .power import (
     POWER_EPS,
     ArchMode,
+    Budget,
     CostTuple,
     ParetoSet,
     ResourceLibrary,
@@ -44,7 +45,7 @@ class SearchConfig:
     debug_check: bool = False  # cross-check incremental costs at every leaf
 
     def __post_init__(self) -> None:
-        if self.time_limit is not None and self.time_limit <= 0:
+        if self.time_limit is not None and not self.time_limit > 0:  # also NaN
             raise ValueError("time_limit must be positive")
 
 
@@ -60,22 +61,6 @@ class SearchReport:
     dominance_prunes: int
     completed: bool
     elapsed: float
-
-
-def bound_exceeded(partial: CostTuple, front: ParetoSet, budget: Budget) -> bool:
-    """True when a prefix with this cost cannot extend the front.
-
-    Either the budget is already violated, or some archived solution is no
-    worse than the prefix in both area and power (dominates-or-equals).
-    """
-    if not budget.allows(partial.area_by_type, partial.power):
-        return True
-    area, power = partial.area_total, partial.power
-    for entry in front.entries:
-        cost = entry.cost
-        if cost.area_total <= area and cost.power <= power + POWER_EPS:
-            return True
-    return False
 
 
 class _TimeUp(Exception):
@@ -172,14 +157,9 @@ def _run(
 
     front = ParetoSet()
     archive_pts: list[tuple[int, float]] = []
-    state = {
-        "expanded": 0,
-        "budget_prunes": 0,
-        "dominance_prunes": 0,
-        "area_total": 0,
-        "power": 0.0,
-        "first": None,
-    }
+    expanded = budget_prunes = dominance_prunes = 0
+    cur_area, cur_power = 0, 0.0  # the placed prefix's area and dyn+leak power
+    first: FirstSolution | None = None
     prune_dom = cfg.prune_dominance
     deadline = None
     t0 = time.perf_counter()
@@ -187,17 +167,18 @@ def _run(
         deadline = t0 + cfg.time_limit
 
     def handle_leaf() -> None:
+        nonlocal first
         sched: Schedule = {order[j]: (starts[j], durs[j]) for j in range(n)}
         cost = schedule_cost(g, sched, lib, mode, bound)
         if cfg.debug_check:
-            assert cost.area_total == state["area_total"], sched
-            assert abs((cost.dynamic + cost.leakage) - state["power"]) < 1e-6, sched
+            assert cost.area_total == cur_area, sched
+            assert abs((cost.dynamic + cost.leakage) - cur_power) < 1e-6, sched
             for op, count in cost.area_by_type.items():
                 assert type_area[type_idx[op]] == count, sched
         if not cfg.budget.allows(cost.area_by_type, cost.power):
             return
-        if state["first"] is None:
-            state["first"] = (cost, sched, time.perf_counter() - t0)
+        if first is None:
+            first = (cost, sched, time.perf_counter() - t0)
             if stop_after_first:
                 raise _StopSearch
         if front.insert(cost, sched):
@@ -207,6 +188,7 @@ def _run(
             )
 
     def rec(i: int) -> None:
+        nonlocal expanded, budget_prunes, dominance_prunes, cur_area, cur_power
         if deadline is not None and time.perf_counter() > deadline:
             raise _TimeUp
         if i == n:
@@ -231,25 +213,25 @@ def _run(
                     row[step] += 1
                     if row[step] > peak:
                         peak = row[step]
-                old_area = state["area_total"]
-                old_power = state["power"]
+                old_area = cur_area
+                old_power = cur_power
                 ti = key_type[key]
                 old_type_area = type_area[ti]
                 if peak > old_max:
                     grew = peak - old_max
                     cur_max[key] = peak
                     type_area[ti] += grew
-                    state["area_total"] = old_area + grew
-                    state["power"] = old_power + energy + unit_leak[key] * grew
+                    cur_area = old_area + grew
+                    cur_power = old_power + energy + unit_leak[key] * grew
                 else:
-                    state["power"] = old_power + energy
+                    cur_power = old_power + energy
                 starts[i] = t
                 durs[i] = dur
-                state["expanded"] += 1
+                expanded += 1
                 # Prune or descend: bound what any completion must cost.
                 pending = pending_mask[i + 1]
-                lb_area = state["area_total"]
-                lb_power = state["power"] + suffix_energy[i + 1]
+                lb_area = cur_area
+                lb_power = cur_power + suffix_energy[i + 1]
                 forced_infeasible = False
                 for tj in range(n_types):
                     if pending >> tj & 1 and type_area[tj] == 0:
@@ -259,15 +241,16 @@ def _run(
                             forced_infeasible = True
                 pruned = False
                 if caps is not None and (type_area[ti] > caps[ti] or forced_infeasible):
-                    state["budget_prunes"] += 1
+                    budget_prunes += 1
                     pruned = True
                 elif power_cap is not None and lb_power > power_cap + POWER_EPS:
-                    state["budget_prunes"] += 1
+                    budget_prunes += 1
                     pruned = True
                 elif prune_dom:
+                    # front.covers on the bound, inlined: this runs on every expansion.
                     for am, pm in archive_pts:
                         if am <= lb_area and pm <= lb_power + POWER_EPS:
-                            state["dominance_prunes"] += 1
+                            dominance_prunes += 1
                             pruned = True
                             break
                 if not pruned:
@@ -277,8 +260,8 @@ def _run(
                     row[step] -= 1
                 cur_max[key] = old_max
                 type_area[ti] = old_type_area
-                state["area_total"] = old_area
-                state["power"] = old_power
+                cur_area = old_area
+                cur_power = old_power
 
     if not stop_after_first and not cfg.emit_first_solution:
         # Seed the archive with the two list-scheduling extremes so the
@@ -304,13 +287,12 @@ def _run(
     except _StopSearch:
         pass
     elapsed = time.perf_counter() - t0
-    first = state["first"] if (cfg.emit_first_solution or stop_after_first) else None
     return SearchReport(
         front=front,
-        first_solution=first,
-        nodes_expanded=state["expanded"],
-        budget_prunes=state["budget_prunes"],
-        dominance_prunes=state["dominance_prunes"],
+        first_solution=first if (cfg.emit_first_solution or stop_after_first) else None,
+        nodes_expanded=expanded,
+        budget_prunes=budget_prunes,
+        dominance_prunes=dominance_prunes,
         completed=completed,
         elapsed=elapsed,
     )
@@ -332,13 +314,14 @@ def bb_pareto(
 
 def bb_first(
     g: Dfg, timing: TimingInfo, lib: ResourceLibrary, cfg: SearchConfig
-) -> FirstSolution | None:
-    """Stop at the first budget-satisfying schedule; None if none exists.
+) -> SearchReport:
+    """Stop at the first budget-satisfying schedule.
 
-    Runs the same depth-first search as bb_pareto and therefore visits
-    candidates in the same order, so the result matches bb_pareto's
-    first_solution on the same instance.
+    The report's first_solution holds it, or None when there is none; a
+    None with completed=False means the time limit hit first, so nothing
+    is known.  The front stays empty.  Runs the same depth-first search as
+    bb_pareto and therefore visits candidates in the same order, so the
+    result matches bb_pareto's first_solution on the same instance.
     """
     cfg = replace(cfg, emit_first_solution=True)
-    report = _run(g, timing, lib, cfg, stop_after_first=True)
-    return report.first_solution
+    return _run(g, timing, lib, cfg, stop_after_first=True)

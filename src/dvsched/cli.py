@@ -26,7 +26,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bb import SearchConfig, SearchReport, bb_first, bb_pareto
 from .dfg import (
@@ -38,16 +38,14 @@ from .dfg import (
     parse_dfg,
     validate_schedule,
 )
-from .listsched import Budget, Priority, list_schedule
+from .listsched import Priority, list_schedule
 from .oracle import EnumerationBound, StateSpaceTooLarge, oracle_front
 from .power import (
-    POWER_EPS,
     ArchMode,
-    CostTuple,
+    Budget,
     LibraryError,
     ParetoSet,
     ResourceLibrary,
-    dominates3,
     load_resource_library,
     schedule_cost,
 )
@@ -61,116 +59,146 @@ EXIT_TIME_LIMIT = 4
 
 
 # ---------------------------------------------------------------------------
-# input loading and shared formatting
+# the shared pipeline: load, search, print, write
 
 
-def _load_graph(path: str) -> Dfg:
-    return parse_dfg(Path(path).read_text(encoding="utf-8"))
+def _load(
+    args: argparse.Namespace, slacks: Iterable[int]
+) -> tuple[Dfg, ResourceLibrary, list[TimingInfo]]:
+    """The graph and library that args name, and the graph's timing per slack."""
+    g = parse_dfg(Path(args.dfg).read_text(encoding="utf-8"))
+    lib = load_resource_library(Path(args.lib).read_text(encoding="utf-8"))
+    return g, lib, [compute_timing(g, k) for k in slacks]
 
 
-def _load_library(path: str) -> ResourceLibrary:
-    return load_resource_library(Path(path).read_text(encoding="utf-8"))
-
-
-def _parse_area_budget(text: str) -> dict[str, int]:
+def _parse_area_budget(text: str, op_types: Sequence[str]) -> dict[str, int]:
     caps: dict[str, int] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
         op, sep, raw = part.partition("=")
-        if not sep or not op.strip():
+        op = op.strip()
+        if not sep or not op:
             raise ValueError(f"bad area budget entry {part!r}, expected TYPE=COUNT")
+        if op not in op_types:
+            raise ValueError(f"area budget type {op!r} is not in the library")
+        if op in caps:
+            raise ValueError(f"area budget names {op!r} twice")
         try:
             count = int(raw)
         except ValueError:
-            raise ValueError(f"bad area budget count {raw!r} for {op.strip()!r}") from None
-        caps[op.strip()] = count
+            raise ValueError(f"bad area budget count {raw!r} for {op!r}") from None
+        caps[op] = count
     if not caps:
         raise ValueError("empty area budget")
     return caps
 
 
-def _make_budget(args: argparse.Namespace) -> Budget:
-    caps = _parse_area_budget(args.area_budget) if args.area_budget else None
+def _make_budget(args: argparse.Namespace, lib: ResourceLibrary) -> Budget:
+    caps = _parse_area_budget(args.area_budget, lib.op_types()) if args.area_budget else None
     return Budget(area_caps=caps, power_cap=args.power_budget)
+
+
+def _search(
+    g: Dfg,
+    timing: TimingInfo,
+    lib: ResourceLibrary,
+    mode: ArchMode,
+    budget: Budget,
+    args: argparse.Namespace,
+) -> SearchReport:
+    cfg = SearchConfig(
+        mode=mode,
+        budget=budget,
+        time_limit=args.time_limit,
+        emit_first_solution=getattr(args, "emit_first", False),
+    )
+    return bb_pareto(g, timing, lib, cfg)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
-def _schedule_str(schedule: Schedule) -> str:
-    return ";".join(f"{v}:{t}:{d}" for v, (t, d) in sorted(schedule.items()))
-
-
 def _schedule_json(schedule: Schedule) -> dict[str, list[int]]:
     return {str(v): [t, d] for v, (t, d) in sorted(schedule.items())}
 
 
-def _csv_header(op_types: Sequence[str]) -> list[str]:
-    head = [
-        "mode",
-        "k",
-        "latency",
-        "area_total",
-        "power_total",
-        "power_dynamic",
-        "power_leakage",
-        "power_switching",
-    ]
-    head.extend(f"area_{op}" for op in op_types)
-    head.append("schedule")
-    return head
+def _print_front(title: str, front: ParetoSet, op_types: Sequence[str]) -> None:
+    print(title)
+    for entry in front.sorted_entries():
+        c = entry.cost
+        per_type = " ".join(
+            f"{op}={c.area_by_type.get(op, 0)}" for op in op_types if c.area_by_type.get(op, 0)
+        )
+        print(
+            f"  area={c.area_total:<3d} power={_fmt(c.power)} "
+            f"(dyn={_fmt(c.dynamic)} leak={_fmt(c.leakage)} sw={_fmt(c.switching)}) "
+            f"[{per_type}]"
+        )
 
 
-def _csv_row(
-    mode: ArchMode,
-    k: int,
-    cost: CostTuple,
-    schedule: Schedule,
+def _front_csv(
     op_types: Sequence[str],
-) -> list[str]:
-    row = [
-        mode.value,
-        str(k),
-        str(cost.latency),
-        str(cost.area_total),
-        _fmt(cost.power),
-        _fmt(cost.dynamic),
-        _fmt(cost.leakage),
-        _fmt(cost.switching),
+    fronts: Iterable[tuple[ArchMode, ParetoSet]],
+    critical_length: int,
+) -> list[list[str]]:
+    """Header and rows of the front CSV; k is a point's latency beyond the critical path."""
+    table = [
+        [
+            "mode",
+            "k",
+            "latency",
+            "area_total",
+            "power_total",
+            "power_dynamic",
+            "power_leakage",
+            "power_switching",
+            *(f"area_{op}" for op in op_types),
+            "schedule",
+        ]
     ]
-    row.extend(str(cost.area_by_type.get(op, 0)) for op in op_types)
-    row.append(_schedule_str(schedule))
-    return row
+    for mode, front in fronts:
+        for entry in front.sorted_entries():
+            c = entry.cost
+            table.append(
+                [
+                    mode.value,
+                    str(c.latency - critical_length),
+                    str(c.latency),
+                    str(c.area_total),
+                    _fmt(c.power),
+                    _fmt(c.dynamic),
+                    _fmt(c.leakage),
+                    _fmt(c.switching),
+                    *(str(c.area_by_type.get(op, 0)) for op in op_types),
+                    ";".join(f"{v}:{t}:{d}" for v, (t, d) in sorted(entry.schedule.items())),
+                ]
+            )
+    return table
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(path: str, table: list[list[str]]) -> None:
     # csv.writer would add \r\n quoting variance for nothing; fields are
     # comma-free by construction.
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(",".join(row) for row in table) + "\n", encoding="utf-8")
 
 
 def _front_json(front: ParetoSet) -> list[dict]:
-    out = []
-    for entry in front.sorted_entries():
-        c = entry.cost
-        out.append(
-            {
-                "area": c.area_total,
-                "area_by_type": dict(sorted(c.area_by_type.items())),
-                "power": c.power,
-                "dynamic": c.dynamic,
-                "leakage": c.leakage,
-                "switching": c.switching,
-                "latency": c.latency,
-                "schedule": _schedule_json(entry.schedule),
-            }
-        )
-    return out
+    return [
+        {
+            "area": e.cost.area_total,
+            "area_by_type": dict(sorted(e.cost.area_by_type.items())),
+            "power": e.cost.power,
+            "dynamic": e.cost.dynamic,
+            "leakage": e.cost.leakage,
+            "switching": e.cost.switching,
+            "latency": e.cost.latency,
+            "schedule": _schedule_json(e.schedule),
+        }
+        for e in front.sorted_entries()
+    ]
 
 
 def _report_json(report: SearchReport) -> dict:
@@ -194,37 +222,18 @@ def _report_json(report: SearchReport) -> dict:
     return data
 
 
-def _write_json(path: str, data: dict) -> None:
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-
-
-def _print_front(front: ParetoSet, op_types: Sequence[str]) -> None:
-    for entry in front.sorted_entries():
-        c = entry.cost
-        per_type = " ".join(
-            f"{op}={c.area_by_type.get(op, 0)}" for op in op_types if c.area_by_type.get(op, 0)
-        )
-        print(
-            f"  area={c.area_total:<3d} power={_fmt(c.power)} "
-            f"(dyn={_fmt(c.dynamic)} leak={_fmt(c.leakage)} sw={_fmt(c.switching)}) "
-            f"[{per_type}]"
-        )
-
-
-def _search(
-    g: Dfg,
-    timing: TimingInfo,
-    lib: ResourceLibrary,
-    mode: ArchMode,
+def _emit(
     args: argparse.Namespace,
-) -> SearchReport:
-    cfg = SearchConfig(
-        mode=mode,
-        budget=_make_budget(args),
-        time_limit=args.time_limit,
-        emit_first_solution=getattr(args, "emit_first", False),
-    )
-    return bb_pareto(g, timing, lib, cfg)
+    data: dict,
+    table: list[list[str]] | None = None,
+    completed: bool = True,
+) -> int:
+    """Write ``table`` to --out and ``data`` to --json; return the exit code."""
+    if args.out:
+        _write_csv(args.out, table)
+    if args.json:
+        Path(args.json).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    return EXIT_OK if completed else EXIT_TIME_LIMIT
 
 
 # ---------------------------------------------------------------------------
@@ -232,211 +241,139 @@ def _search(
 
 
 def cmd_pareto(args: argparse.Namespace) -> int:
-    g = _load_graph(args.dfg)
-    lib = _load_library(args.lib)
-    timing = compute_timing(g, args.k)
+    g, lib, (timing,) = _load(args, [args.k])
     mode = ArchMode(args.mode)
-    report = _search(g, timing, lib, mode, args)
-    ops = lib.op_types()
-
-    print(
+    report = _search(g, timing, lib, mode, _make_budget(args, lib), args)
+    _print_front(
         f"{g.name}: mode={mode.value} k={args.k} latency_bound={timing.latency_bound} "
         f"front={len(report.front)} expanded={report.nodes_expanded} "
         f"elapsed={report.elapsed:.3f}s"
-        + ("" if report.completed else " [time limit hit, front is partial]")
+        + ("" if report.completed else " [time limit hit, front is partial]"),
+        report.front,
+        lib.op_types(),
     )
-    _print_front(report.front, ops)
-
-    if args.out:
-        rows = [
-            _csv_row(mode, args.k, e.cost, e.schedule, ops)
-            for e in report.front.sorted_entries()
-        ]
-        _write_csv(args.out, _csv_header(ops), rows)
-    if args.json:
-        data = {
-            "command": "pareto",
-            "dfg": g.name,
-            "mode": mode.value,
-            "k": args.k,
-            "latency_bound": timing.latency_bound,
-        }
-        data.update(_report_json(report))
-        _write_json(args.json, data)
-    return EXIT_OK if report.completed else EXIT_TIME_LIMIT
+    data = {
+        "command": "pareto",
+        "dfg": g.name,
+        "mode": mode.value,
+        "k": args.k,
+        "latency_bound": timing.latency_bound,
+        **_report_json(report),
+    }
+    table = _front_csv(lib.op_types(), [(mode, report.front)], timing.critical_length)
+    return _emit(args, data, table, report.completed)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    g = _load_graph(args.dfg)
-    lib = _load_library(args.lib)
-    timing = compute_timing(g, args.k)
-    ops = lib.op_types()
-
-    reports: dict[ArchMode, SearchReport] = {}
-    for mode in MODE_ORDER:
-        reports[mode] = _search(g, timing, lib, mode, args)
-
-    for mode in MODE_ORDER:
-        rep = reports[mode]
+    g, lib, (timing,) = _load(args, [args.k])
+    budget = _make_budget(args, lib)
+    reports = {mode: _search(g, timing, lib, mode, budget, args) for mode in MODE_ORDER}
+    for mode, rep in reports.items():
         tag = "" if rep.completed else " [partial]"
-        print(f"{g.name}: mode={mode.value} front={len(rep.front)}{tag}")
-        _print_front(rep.front, ops)
+        title = f"{g.name}: mode={mode.value} front={len(rep.front)}{tag}"
+        _print_front(title, rep.front, lib.op_types())
 
-    multi = reports[ArchMode.MULTI_VDD].front.sorted_entries()
-    fg = reports[ArchMode.FGDVS].front.sorted_entries()
-    covered = 0
-    for m in multi:
-        if any(
-            f.cost.area_total <= m.cost.area_total
-            and f.cost.power <= m.cost.power + POWER_EPS
-            for f in fg
-        ):
-            covered += 1
+    multi = reports[ArchMode.MULTI_VDD].front
+    covered = sum(reports[ArchMode.FGDVS].front.covers(e.cost) for e in multi)
     pct = 100.0 * covered / len(multi) if multi else 100.0
     print(
         f"coverage: fgdvs matches or beats {covered}/{len(multi)} "
         f"multi-vdd points ({pct:.1f}%)"
     )
-
-    if args.out:
-        rows = []
-        for mode in MODE_ORDER:
-            rows.extend(
-                _csv_row(mode, args.k, e.cost, e.schedule, ops)
-                for e in reports[mode].front.sorted_entries()
-            )
-        _write_csv(args.out, _csv_header(ops), rows)
-    if args.json:
-        data = {
-            "command": "compare",
-            "dfg": g.name,
-            "k": args.k,
-            "latency_bound": timing.latency_bound,
-            "coverage": {
-                "multi_points": len(multi),
-                "covered_by_fgdvs": covered,
-                "percent": pct,
-            },
-            "runs": {m.value: _report_json(reports[m]) for m in MODE_ORDER},
-        }
-        _write_json(args.json, data)
-    return EXIT_OK if all(r.completed for r in reports.values()) else EXIT_TIME_LIMIT
+    data = {
+        "command": "compare",
+        "dfg": g.name,
+        "k": args.k,
+        "latency_bound": timing.latency_bound,
+        "coverage": {
+            "multi_points": len(multi),
+            "covered_by_fgdvs": covered,
+            "percent": pct,
+        },
+        "runs": {m.value: _report_json(rep) for m, rep in reports.items()},
+    }
+    fronts = [(m, rep.front) for m, rep in reports.items()]
+    table = _front_csv(lib.op_types(), fronts, timing.critical_length)
+    return _emit(args, data, table, all(rep.completed for rep in reports.values()))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    g = _load_graph(args.dfg)
-    lib = _load_library(args.lib)
+    if args.k_max < 0:
+        raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
+    g, lib, timings = _load(args, range(args.k_max + 1))
     mode = ArchMode(args.mode)
-    ops = lib.op_types()
+    budget = _make_budget(args, lib)
+    runs = [(t, _search(g, t, lib, mode, budget, args)) for t in timings]
 
-    runs: list[tuple[int, TimingInfo, SearchReport]] = []
-    for k in range(args.k_max + 1):
-        timing = compute_timing(g, k)
-        runs.append((k, timing, _search(g, timing, lib, mode, args)))
-
-    # One summary row per slack: the front's area and power extremes.
-    header = [
-        "mode",
-        "k",
-        "latency",
-        "front_size",
-        "min_area",
-        "max_area",
-        "min_power",
-        "max_power",
+    # One summary row per slack: the front's area and power extremes.  The
+    # optional merged front over (latency, area, power) takes every point in
+    # slack order, so a tie keeps the smallest-k entry.
+    table = [
+        [
+            "mode",
+            "k",
+            "latency",
+            "front_size",
+            "min_area",
+            "max_area",
+            "min_power",
+            "max_power",
+        ]
     ]
-    rows = []
-    for k, timing, rep in runs:
+    merged = ParetoSet(("latency", "area_total", "power"))
+    for t, rep in runs:
         tag = "" if rep.completed else " [partial]"
-        print(
-            f"{g.name}: mode={mode.value} k={k} latency_bound={timing.latency_bound} "
-            f"front={len(rep.front)}{tag}"
+        _print_front(
+            f"{g.name}: mode={mode.value} k={t.slack} latency_bound={t.latency_bound} "
+            f"front={len(rep.front)}{tag}",
+            rep.front,
+            lib.op_types(),
         )
-        _print_front(rep.front, ops)
         pts = rep.front.cost_points()
+        extremes = ["", "", "", ""]
         if pts:
-            areas = [a for a, _p in pts]
-            powers = [p for _a, p in pts]
-            rows.append(
-                [
-                    mode.value,
-                    str(k),
-                    str(timing.latency_bound),
-                    str(len(pts)),
-                    str(min(areas)),
-                    str(max(areas)),
-                    _fmt(min(powers)),
-                    _fmt(max(powers)),
-                ]
-            )
-        else:
-            rows.append(
-                [mode.value, str(k), str(timing.latency_bound), "0", "", "", "", ""]
-            )
-    if args.out:
-        _write_csv(args.out, header, rows)
-
-    front3_rows: list[list[str]] = []
-    merged: list[tuple[CostTuple, Schedule, int]] = []
-    if args.front3:
-        # Fold every point across slacks into one non-dominated set over
-        # (latency, area, power); ties keep the smallest-k entry.
-        for k, _timing, rep in runs:
-            for entry in rep.front.sorted_entries():
-                c, s = entry.cost, entry.schedule
-                if any(dominates3(mc, c) or _triple_equal(mc, c) for mc, _ms, _mk in merged):
-                    continue
-                merged = [(mc, ms, mk) for mc, ms, mk in merged if not dominates3(c, mc)]
-                merged.append((c, s, k))
-        merged.sort(key=lambda item: (item[0].latency, item[0].area_total, item[0].power))
-        front3_rows = [_csv_row(mode, k, c, s, ops) for c, s, k in merged]
-        path = args.front3 if isinstance(args.front3, str) else None
-        if path is None and args.out:
-            path = str(Path(args.out).with_suffix(".front3.csv"))
-        if path:
-            _write_csv(path, _csv_header(ops), front3_rows)
-        print(f"merged latency/area/power front: {len(merged)} points")
-
-    if args.json:
-        data = {
-            "command": "sweep",
-            "dfg": g.name,
-            "mode": mode.value,
-            "k_max": args.k_max,
-            "runs": [
-                {"k": k, "latency_bound": t.latency_bound, **_report_json(rep)}
-                for k, t, rep in runs
-            ],
-        }
+            areas, powers = zip(*pts)
+            extremes = [str(min(areas)), str(max(areas)), _fmt(min(powers)), _fmt(max(powers))]
+        table.append([mode.value, str(t.slack), str(t.latency_bound), str(len(pts)), *extremes])
         if args.front3:
-            data["front3"] = [
-                {
-                    "k": k,
-                    "latency": c.latency,
-                    "area": c.area_total,
-                    "power": c.power,
-                    "schedule": _schedule_json(s),
-                }
-                for c, s, k in merged
-            ]
-        _write_json(args.json, data)
-    return EXIT_OK if all(rep.completed for _k, _t, rep in runs) else EXIT_TIME_LIMIT
+            for entry in rep.front.sorted_entries():
+                merged.insert(entry.cost, entry.schedule)
 
-
-def _triple_equal(c1: CostTuple, c2: CostTuple) -> bool:
-    return (
-        c1.area_total == c2.area_total
-        and c1.latency == c2.latency
-        and abs(c1.power - c2.power) <= POWER_EPS
-    )
+    data = {
+        "command": "sweep",
+        "dfg": g.name,
+        "mode": mode.value,
+        "k_max": args.k_max,
+        "runs": [
+            {"k": t.slack, "latency_bound": t.latency_bound, **_report_json(rep)}
+            for t, rep in runs
+        ],
+    }
+    if args.front3:
+        critical = timings[0].critical_length
+        path = args.front3
+        if path is True:  # no path given: next to --out, if any
+            path = args.out and str(Path(args.out).with_suffix(".front3.csv"))
+        if path:
+            _write_csv(path, _front_csv(lib.op_types(), [(mode, merged)], critical))
+        print(f"merged latency/area/power front: {len(merged)} points")
+        data["front3"] = [
+            {
+                "k": e.cost.latency - critical,
+                "latency": e.cost.latency,
+                "area": e.cost.area_total,
+                "power": e.cost.power,
+                "schedule": _schedule_json(e.schedule),
+            }
+            for e in merged.sorted_entries()
+        ]
+    return _emit(args, data, table, all(rep.completed for _t, rep in runs))
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
-    g = _load_graph(args.dfg)
-    lib = _load_library(args.lib)
-    timing = compute_timing(g, args.k)
+    g, lib, (timing,) = _load(args, [args.k])
     mode = ArchMode(args.mode)
-    budget = _make_budget(args)
+    budget = _make_budget(args, lib)
     base = {
         "command": "budget",
         "dfg": g.name,
@@ -446,14 +383,11 @@ def cmd_budget(args: argparse.Namespace) -> int:
     }
 
     if args.algorithm == "bb":
-        cfg = SearchConfig(mode=mode, budget=budget, time_limit=args.time_limit)
-        report = bb_pareto(g, timing, lib, cfg)
+        report = _search(g, timing, lib, mode, budget, args)
         tag = "" if report.completed else " [partial]"
-        print(f"{g.name}: budget-constrained front, {len(report.front)} points{tag}")
-        _print_front(report.front, lib.op_types())
-        if args.json:
-            _write_json(args.json, {**base, **_report_json(report)})
-        return EXIT_OK if report.completed else EXIT_TIME_LIMIT
+        title = f"{g.name}: budget-constrained front, {len(report.front)} points{tag}"
+        _print_front(title, report.front, lib.op_types())
+        return _emit(args, {**base, **_report_json(report)}, completed=report.completed)
 
     if args.algorithm == "list":
         t0 = time.perf_counter()
@@ -461,26 +395,17 @@ def cmd_budget(args: argparse.Namespace) -> int:
         elapsed = time.perf_counter() - t0
         if schedule is None:
             print(f"{g.name}: INFEASIBLE ({elapsed:.4f}s, priority={args.priority})")
-            if args.json:
-                _write_json(
-                    args.json, {**base, "feasible": False, "elapsed": elapsed}
-                )
-            return EXIT_OK
+            return _emit(args, {**base, "feasible": False, "elapsed": elapsed})
     else:  # bb-first
         cfg = SearchConfig(mode=mode, budget=budget, time_limit=args.time_limit)
-        hit = bb_first(g, timing, lib, cfg)
-        if hit is None:
-            if args.time_limit is not None:
-                # Distinguish "proved infeasible" from "ran out of time".
-                probe = bb_pareto(g, timing, lib, cfg)
-                if not probe.completed:
-                    print("no schedule found before the time limit", file=sys.stderr)
-                    return EXIT_TIME_LIMIT
+        report = bb_first(g, timing, lib, cfg)
+        if report.first_solution is None:
+            if not report.completed:
+                print("no schedule found before the time limit", file=sys.stderr)
+                return EXIT_TIME_LIMIT
             print(f"{g.name}: NONE")
-            if args.json:
-                _write_json(args.json, {**base, "feasible": False})
-            return EXIT_OK
-        _c, schedule, elapsed = hit
+            return _emit(args, {**base, "feasible": False})
+        _c, schedule, elapsed = report.first_solution
 
     cost = schedule_cost(g, schedule, lib, mode, timing.latency_bound)
     print(
@@ -490,97 +415,76 @@ def cmd_budget(args: argparse.Namespace) -> int:
     for v in sorted(schedule):
         t, d = schedule[v]
         print(f"  node {v} ({g.nodes[v]}): start={t} cycles={d}")
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                **base,
-                "feasible": True,
-                "area": cost.area_total,
-                "power": cost.power,
-                "elapsed": elapsed,
-                "schedule": _schedule_json(schedule),
-            },
-        )
-    return EXIT_OK
+    data = {
+        **base,
+        "feasible": True,
+        "area": cost.area_total,
+        "power": cost.power,
+        "elapsed": elapsed,
+        "schedule": _schedule_json(schedule),
+    }
+    return _emit(args, data)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    g = _load_graph(args.dfg)
-    lib = _load_library(args.lib)
-    timing = compute_timing(g, args.k)
+    g, lib, (timing,) = _load(args, [args.k])
     mode = ArchMode(args.mode)
     bound = EnumerationBound(max_nodes=args.max_nodes, max_states=args.max_states)
-    front = oracle_front(g, timing, lib, mode, _make_budget(args), bound)
-    ops = lib.op_types()
-
-    print(
+    front = oracle_front(g, timing, lib, mode, _make_budget(args, lib), bound)
+    _print_front(
         f"{g.name}: oracle mode={mode.value} k={args.k} "
-        f"latency_bound={timing.latency_bound} front={len(front)}"
+        f"latency_bound={timing.latency_bound} front={len(front)}",
+        front,
+        lib.op_types(),
     )
-    _print_front(front, ops)
-    if args.out:
-        rows = [
-            _csv_row(mode, args.k, e.cost, e.schedule, ops)
-            for e in front.sorted_entries()
-        ]
-        _write_csv(args.out, _csv_header(ops), rows)
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "command": "oracle",
-                "dfg": g.name,
-                "mode": mode.value,
-                "k": args.k,
-                "latency_bound": timing.latency_bound,
-                "front_size": len(front),
-                "front": _front_json(front),
-            },
-        )
-    return EXIT_OK
+    data = {
+        "command": "oracle",
+        "dfg": g.name,
+        "mode": mode.value,
+        "k": args.k,
+        "latency_bound": timing.latency_bound,
+        "front_size": len(front),
+        "front": _front_json(front),
+    }
+    table = _front_csv(lib.op_types(), [(mode, front)], timing.critical_length)
+    return _emit(args, data, table)
 
 
 def _parse_schedule_file(path: str) -> list[Schedule]:
-    """Read one schedule, or every schedule from a sidecar JSON."""
+    """Read one schedule, or every schedule in a sidecar JSON."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    schedules: list[Schedule] = []
-    if "front" in data or "runs" in data:
-        fronts = []
-        if "front" in data:
-            fronts.append(data["front"])
-        for run in (data.get("runs") or {}).values() if isinstance(data.get("runs"), dict) else (data.get("runs") or []):
-            if "front" in run:
-                fronts.append(run["front"])
-        for front in fronts:
-            for item in front:
-                schedules.append(_coerce_schedule(item["schedule"]))
-        if "schedule" in data:
-            schedules.append(_coerce_schedule(data["schedule"]))
-    elif "schedule" in data:
+    if not data.keys() & {"front", "runs", "schedule"}:
+        return [_coerce_schedule(data)]
+    runs = data.get("runs") or []
+    if isinstance(runs, dict):  # compare keys its runs by mode; sweep lists them
+        runs = list(runs.values())
+    try:
+        fronts = [data.get("front", [])] + [run.get("front", []) for run in runs]
+        schedules = [_coerce_schedule(item["schedule"]) for front in fronts for item in front]
+    except (AttributeError, TypeError, KeyError):
+        raise ValueError(f"{path}: runs and fronts must hold objects with a schedule") from None
+    if "schedule" in data:
         schedules.append(_coerce_schedule(data["schedule"]))
-    else:
-        schedules.append(_coerce_schedule(data))
     if not schedules:
         raise ValueError(f"{path}: no schedules found")
     return schedules
 
 
-def _coerce_schedule(raw: dict) -> Schedule:
+def _coerce_schedule(raw: object) -> Schedule:
+    if not isinstance(raw, dict):
+        raise ValueError(f"expected a schedule object, got {raw!r}")
     sched: Schedule = {}
     for key, val in raw.items():
-        v = int(key)
-        t, d = int(val[0]), int(val[1])
-        sched[v] = (t, d)
+        if not (isinstance(val, list) and len(val) == 2 and all(type(x) is int for x in val)):
+            raise ValueError(f"node {key}: expected [start, cycles], got {val!r}")
+        sched[int(key)] = (val[0], val[1])
     return sched
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    g = _load_graph(args.dfg)
-    lib = _load_library(args.lib)
-    timing = compute_timing(g, args.k)
+    g, lib, (timing,) = _load(args, [args.k])
     mode = ArchMode(args.mode)
     schedules = _parse_schedule_file(args.schedule)
 
@@ -641,9 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="dvsched",
         description="Voltage-aware operator scheduling on data-flow graphs.",
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help=argparse.SUPPRESS
-    )  # reserved; all algorithms are deterministic
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pareto", help="exact area/power front for one configuration")
@@ -699,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--time-limit", type=float, metavar="SEC", help="search time limit (bb only)")
     p.add_argument("--json", metavar="FILE", help="write result as JSON")
-    p.set_defaults(func=cmd_budget)
+    p.set_defaults(func=cmd_budget, out=None)
 
     p = sub.add_parser("oracle", help="brute-force front for small graphs")
     _add_common(p)

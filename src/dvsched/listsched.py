@@ -9,44 +9,10 @@ therefore a value (None), not a fault; the exhaustive search in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .dfg import Dfg, Schedule, TimingInfo, topological_order
-from .power import POWER_EPS, ArchMode, ResourceLibrary, schedule_cost
-
-
-@dataclass(frozen=True)
-class Budget:
-    """Per-type area caps, or a total power cap, or no constraint.
-
-    At most one of the two constraint kinds may be set.
-    """
-
-    area_caps: Mapping[str, int] | None = None
-    power_cap: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.area_caps is not None and self.power_cap is not None:
-            raise ValueError("a budget constrains area or power, not both")
-        if self.area_caps is not None and any(c < 0 for c in self.area_caps.values()):
-            raise ValueError("area caps must be >= 0")
-        if self.power_cap is not None and self.power_cap < 0:
-            raise ValueError("power cap must be >= 0")
-
-    @property
-    def unconstrained(self) -> bool:
-        return self.area_caps is None and self.power_cap is None
-
-    def allows(self, area_by_type: Mapping[str, int], power: float) -> bool:
-        if self.area_caps is not None:
-            for op, cap in self.area_caps.items():
-                if area_by_type.get(op, 0) > cap:
-                    return False
-        if self.power_cap is not None and power > self.power_cap + POWER_EPS:
-            return False
-        return True
+from .power import ArchMode, Budget, ResourceLibrary, schedule_cost
 
 
 class Priority(Enum):

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .dfg import Dfg, Schedule
@@ -53,6 +54,31 @@ class VoltageLevel:
     p_sw: float   # overhead, mW per switch event onto this level
 
 
+def _check_level(op: str, lvl: VoltageLevel, prev: VoltageLevel | None) -> None:
+    """Raise LibraryError unless ``lvl`` may follow ``prev`` in ``op``'s levels.
+
+    Values are finite, cycles >= 1 and powers >= 0; down a type's list,
+    fastest first, cycles strictly increase (so they are unique) and vdd and
+    pdyn strictly decrease.
+    """
+    if not all(math.isfinite(x) for x in (lvl.vdd, lvl.p_dyn, lvl.p_lk, lvl.p_sw)):
+        raise LibraryError(f"{op}: vdd and power values must be finite")
+    if lvl.cycles < 1:
+        raise LibraryError(f"{op}: cycle count must be >= 1, got {lvl.cycles}")
+    if min(lvl.p_dyn, lvl.p_lk, lvl.p_sw) < 0:
+        raise LibraryError(f"{op}: power values must be >= 0")
+    if prev is None:
+        return
+    if lvl.cycles == prev.cycles:
+        raise LibraryError(f"{op}: duplicate cycle count {lvl.cycles}")
+    if lvl.cycles < prev.cycles:
+        raise LibraryError(f"{op}: levels must be fastest-first (cycles strictly increasing)")
+    if lvl.vdd >= prev.vdd:
+        raise LibraryError(f"{op}: vdd must strictly decrease across levels")
+    if lvl.p_dyn >= prev.p_dyn:
+        raise LibraryError(f"{op}: pdyn must strictly decrease across levels")
+
+
 class ResourceLibrary:
     """Per-op-type voltage levels, fastest first."""
 
@@ -63,26 +89,8 @@ class ResourceLibrary:
             levels = tuple(levels)
             if not levels:
                 raise LibraryError(f"op type {op!r} has no voltage levels")
-            prev: VoltageLevel | None = None
-            seen_cycles: dict[int, int] = {}
-            for lvl in levels:
-                if lvl.cycles < 1:
-                    raise LibraryError(f"{op}: cycle count must be >= 1, got {lvl.cycles}")
-                if min(lvl.p_dyn, lvl.p_lk, lvl.p_sw) < 0:
-                    raise LibraryError(f"{op}: power values must be >= 0")
-                if lvl.cycles in seen_cycles:
-                    raise LibraryError(f"{op}: duplicate cycle count {lvl.cycles}")
-                seen_cycles[lvl.cycles] = 1
-                if prev is not None:
-                    if lvl.cycles <= prev.cycles:
-                        raise LibraryError(
-                            f"{op}: levels must be fastest-first (cycles strictly increasing)"
-                        )
-                    if lvl.vdd >= prev.vdd:
-                        raise LibraryError(f"{op}: vdd must strictly decrease across levels")
-                    if lvl.p_dyn >= prev.p_dyn:
-                        raise LibraryError(f"{op}: pdyn must strictly decrease across levels")
-                prev = lvl
+            for idx, lvl in enumerate(levels):
+                _check_level(op, lvl, levels[idx - 1] if idx else None)
             self._levels[op] = levels
             self._by_cycles[op] = {
                 lvl.cycles: (idx, lvl) for idx, lvl in enumerate(levels)
@@ -162,22 +170,12 @@ def load_resource_library(text: str) -> ResourceLibrary:
                 )
             except ValueError:
                 raise LibraryError(f"line {line_no}: malformed numeric field") from None
-            if lvl.cycles < 1:
-                raise LibraryError(f"line {line_no}: cycle count must be >= 1")
-            if min(lvl.p_dyn, lvl.p_lk, lvl.p_sw) < 0:
-                raise LibraryError(f"line {line_no}: power values must be >= 0")
-            if any(prev.cycles == lvl.cycles for prev in levels_by_type[current]):
-                raise LibraryError(
-                    f"line {line_no}: duplicate cycle count {lvl.cycles} for {current!r}"
-                )
-            if levels_by_type[current]:
-                prev = levels_by_type[current][-1]
-                if lvl.cycles < prev.cycles or lvl.vdd >= prev.vdd or lvl.p_dyn >= prev.p_dyn:
-                    raise LibraryError(
-                        f"line {line_no}: levels must be fastest-first "
-                        "(cycles increasing, vdd and pdyn decreasing)"
-                    )
-            levels_by_type[current].append(lvl)
+            levels = levels_by_type[current]
+            try:
+                _check_level(current, lvl, levels[-1] if levels else None)
+            except LibraryError as exc:
+                raise LibraryError(f"line {line_no}: {exc}") from None
+            levels.append(lvl)
         else:
             raise LibraryError(f"line {line_no}: unknown directive {fields[0]!r}")
     if not levels_by_type:
@@ -298,7 +296,8 @@ def power_of(
     Dynamic power is each op's per-step draw times its duration.  Leakage is
     per-op under FGDVS (idle units are gated) but per allocated always-on
     unit times the latency bound otherwise.  Switching overhead applies to
-    FGDVS only.
+    FGDVS only.  SINGLE_VDD durations are checked by ``area_of``, which the
+    leakage term calls.
     """
     dyn_terms: list[float] = []
     fg_leak_terms: list[float] = []
@@ -306,11 +305,6 @@ def power_of(
     for nid, (start, dur) in schedule.items():
         op = g.nodes[nid]
         _, lvl = lib.level_for(op, dur)
-        if mode is ArchMode.SINGLE_VDD and dur != lib.fastest(op).cycles:
-            raise LibraryError(
-                f"node {nid}: duration {dur} is not the level-0 cycle count "
-                f"for {op!r} in single-vdd mode"
-            )
         dyn_terms.append(lvl.p_dyn * dur)
         fg_leak_terms.append(lvl.p_lk * dur)
         completion = max(completion, start + dur - 1)
@@ -361,6 +355,38 @@ class CostTuple:
         return self.dynamic + self.leakage + self.switching
 
 
+@dataclass(frozen=True)
+class Budget:
+    """Per-type area caps, or a total power cap, or no constraint.
+
+    At most one of the two constraint kinds may be set.
+    """
+
+    area_caps: Mapping[str, int] | None = None
+    power_cap: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.area_caps is not None and self.power_cap is not None:
+            raise ValueError("a budget constrains area or power, not both")
+        if self.area_caps is not None and any(c < 0 for c in self.area_caps.values()):
+            raise ValueError("area caps must be >= 0")
+        if self.power_cap is not None and not 0 <= self.power_cap < math.inf:
+            raise ValueError(f"power cap must be finite and >= 0, got {self.power_cap}")
+
+    @property
+    def unconstrained(self) -> bool:
+        return self.area_caps is None and self.power_cap is None
+
+    def allows(self, area_by_type: Mapping[str, int], power: float) -> bool:
+        if self.area_caps is not None:
+            for op, cap in self.area_caps.items():
+                if area_by_type.get(op, 0) > cap:
+                    return False
+        if self.power_cap is not None and power > self.power_cap + POWER_EPS:
+            return False
+        return True
+
+
 def schedule_cost(
     g: Dfg,
     schedule: Schedule,
@@ -380,30 +406,23 @@ def schedule_cost(
     )
 
 
+def _no_worse(a: tuple, b: tuple, eps: float = POWER_EPS) -> bool:
+    """True iff point a is no worse than point b in every objective.
+
+    The tolerance is for power; on the integer objectives it changes nothing.
+    """
+    return all(x <= y + eps for x, y in zip(a, b))
+
+
 def dominates(c1: CostTuple, c2: CostTuple, eps: float = POWER_EPS) -> bool:
     """True iff c1 is no worse in (area, power) and strictly better in one."""
-    if c1.area_total > c2.area_total or c1.power > c2.power + eps:
-        return False
-    return c1.area_total < c2.area_total or c1.power < c2.power - eps
+    a, b = (c1.area_total, c1.power), (c2.area_total, c2.power)
+    return _no_worse(a, b, eps) and not _no_worse(b, a, eps)
 
 
 def cost_equal(c1: CostTuple, c2: CostTuple, eps: float = POWER_EPS) -> bool:
-    return c1.area_total == c2.area_total and abs(c1.power - c2.power) <= eps
-
-
-def dominates3(c1: CostTuple, c2: CostTuple, eps: float = POWER_EPS) -> bool:
-    """Dominance over (area, power, latency), all <= and one strictly better."""
-    if (
-        c1.area_total > c2.area_total
-        or c1.power > c2.power + eps
-        or c1.latency > c2.latency
-    ):
-        return False
-    return (
-        c1.area_total < c2.area_total
-        or c1.power < c2.power - eps
-        or c1.latency < c2.latency
-    )
+    a, b = (c1.area_total, c1.power), (c2.area_total, c2.power)
+    return _no_worse(a, b, eps) and _no_worse(b, a, eps)
 
 
 class ParetoEntry(NamedTuple):
@@ -411,23 +430,36 @@ class ParetoEntry(NamedTuple):
     schedule: Schedule
 
 
-@dataclass
 class ParetoSet:
-    """Mutually non-dominated (area, power) cost points with schedules.
+    """Mutually non-dominated cost points with their schedules.
 
-    At most one member per distinct (area_total, power) pair; the first
-    schedule found for a cost point is kept.
+    ``objectives`` names the two or more CostTuple attributes to minimise:
+    ``(area_total, power)`` by default, ``(latency, area_total, power)`` for
+    a front merged across latency bounds.  At most one member per distinct
+    point; the first schedule found for a point is kept.
     """
 
-    entries: list[ParetoEntry] = field(default_factory=list)
+    def __init__(self, objectives: tuple[str, ...] = ("area_total", "power")):
+        self._point = attrgetter(*objectives)
+        self.entries: list[ParetoEntry] = []
+        self._points: list[tuple] = []  # each entry's objective values
+
+    def covers(self, cost: CostTuple) -> bool:
+        """True iff some member is no worse than ``cost`` in every objective."""
+        point = self._point(cost)
+        return any(_no_worse(p, point) for p in self._points)
 
     def insert(self, cost: CostTuple, schedule: Schedule) -> bool:
         """Add a candidate; returns True iff it joined the front."""
-        for entry in self.entries:
-            if dominates(entry.cost, cost) or cost_equal(entry.cost, cost):
-                return False
-        self.entries = [e for e in self.entries if not dominates(cost, e.cost)]
+        if self.covers(cost):
+            return False
+        # No member covers cost, so cost covering a member means dominating it.
+        point = self._point(cost)
+        kept = [i for i, p in enumerate(self._points) if not _no_worse(point, p)]
+        self.entries = [self.entries[i] for i in kept]
+        self._points = [self._points[i] for i in kept]
         self.entries.append(ParetoEntry(cost, dict(schedule)))
+        self._points.append(point)
         return True
 
     def __len__(self) -> int:
@@ -437,7 +469,7 @@ class ParetoSet:
         return iter(self.entries)
 
     def sorted_entries(self) -> list[ParetoEntry]:
-        return sorted(self.entries, key=lambda e: (e.cost.area_total, e.cost.power))
+        return sorted(self.entries, key=lambda e: self._point(e.cost))
 
-    def cost_points(self) -> list[tuple[int, float]]:
-        return sorted((e.cost.area_total, e.cost.power) for e in self.entries)
+    def cost_points(self) -> list[tuple]:
+        return sorted(self._points)

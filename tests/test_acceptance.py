@@ -197,7 +197,7 @@ def test_greedy_gap_closed_by_first_solution(capsys, default_lib):
         greedy = list_schedule(g, timing, default_lib, ArchMode.FGDVS, budget, prio)
         cfg = SearchConfig(mode=ArchMode.FGDVS, budget=budget)
         full = bb_pareto(g, timing, default_lib, cfg)
-        first = bb_first(g, timing, default_lib, cfg)
+        first = bb_first(g, timing, default_lib, cfg).first_solution
         found = first is not None
         faster = found and first[2] < full.elapsed
         ok = ok and greedy is None and found and faster and len(full.front) > 0

@@ -15,7 +15,6 @@ from dvsched import (
     SearchConfig,
     bb_first,
     bb_pareto,
-    bound_exceeded,
     compute_timing,
     oracle_front,
     parse_dfg,
@@ -47,30 +46,33 @@ def ct(area: int, power: float, by_type: dict[str, int] | None = None) -> CostTu
 
 
 # ---------------------------------------------------------------------------
-# bound_exceeded
+# the two prune rules: an archive member covers the bound, or the budget
+# rejects it
 
 
 def test_bound_equal_cost_archive_member_prunes():
     front = ParetoSet()
     front.insert(ct(3, 50.0), {1: (1, 1)})
-    assert bound_exceeded(ct(3, 50.0), front, Budget())
+    assert front.covers(ct(3, 50.0))
 
 
 def test_bound_incomparable_partial_survives():
     front = ParetoSet()
     front.insert(ct(3, 50.0), {1: (1, 1)})
-    assert not bound_exceeded(ct(2, 60.0), front, Budget())
+    assert not front.covers(ct(2, 60.0))
 
 
 def test_bound_area_cap():
     partial = ct(4, 10.0, by_type={"mul": 4})
-    assert bound_exceeded(partial, ParetoSet(), Budget(area_caps={"mul": 3}))
-    assert not bound_exceeded(partial, ParetoSet(), Budget(area_caps={"mul": 4}))
+    assert not ParetoSet().covers(partial)
+    assert not Budget(area_caps={"mul": 3}).allows(partial.area_by_type, partial.power)
+    assert Budget(area_caps={"mul": 4}).allows(partial.area_by_type, partial.power)
 
 
 def test_bound_power_cap():
-    assert bound_exceeded(ct(1, 10.5), ParetoSet(), Budget(power_cap=10.0))
-    assert not bound_exceeded(ct(1, 10.0), ParetoSet(), Budget(power_cap=10.0))
+    over, at = ct(1, 10.5), ct(1, 10.0)
+    assert not Budget(power_cap=10.0).allows(over.area_by_type, over.power)
+    assert Budget(power_cap=10.0).allows(at.area_by_type, at.power)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def test_bb_first_agrees_with_emit_first(seed, k):
     t = compute_timing(g, k)
     for b in support.sampled_budgets(rng, g, t, lib):
         cfg = SearchConfig(mode=ArchMode.FGDVS, budget=b)
-        hit = bb_first(g, t, lib, cfg)
+        hit = bb_first(g, t, lib, cfg).first_solution
         rep = bb_pareto(g, t, lib, SearchConfig(mode=ArchMode.FGDVS, budget=b, emit_first_solution=True))
         if hit is None:
             # exhausted without a feasible leaf: the front must be empty too
@@ -225,16 +227,16 @@ def test_bb_first_none_below_oracle_minimum(default_lib):
     want = oracle_front(g, t, default_lib, ArchMode.FGDVS).cost_points()
     floor = min(p for _a, p in want)
     cfg = SearchConfig(mode=ArchMode.FGDVS, budget=Budget(power_cap=floor - 1.0))
-    assert bb_first(g, t, default_lib, cfg) is None
+    assert bb_first(g, t, default_lib, cfg).first_solution is None
     cfg = SearchConfig(mode=ArchMode.FGDVS, budget=Budget(power_cap=floor + 1.0))
-    assert bb_first(g, t, default_lib, cfg) is not None
+    assert bb_first(g, t, default_lib, cfg).first_solution is not None
 
 
 def test_defer_fixture_first_solution(default_lib):
     g = parse_dfg(support.DEFER_DFG)
     t = compute_timing(g, 1)
     cfg = SearchConfig(mode=ArchMode.FGDVS, budget=Budget(area_caps={"mul": 1}))
-    hit = bb_first(g, t, default_lib, cfg)
+    hit = bb_first(g, t, default_lib, cfg).first_solution
     assert hit is not None
     cost, sched, _ = hit
     assert sched == {1: (1, 1), 2: (2, 1), 3: (3, 1)}

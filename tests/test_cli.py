@@ -271,6 +271,19 @@ def test_budget_bb_prints_constrained_front(tmp_path, capsys):
     assert "area=3" not in stdout  # cap respected
 
 
+def test_budget_bb_first_time_limit_runs_one_search(monkeypatch, capsys):
+    def no_second_search(*_args, **_kwargs):
+        raise AssertionError("bb-first must not run a second search")
+
+    monkeypatch.setattr("dvsched.cli.bb_pareto", no_second_search)
+    rc = main([
+        "budget", "--dfg", str(bench_path("volterra")), "--lib", LIB, "--k", "1",
+        "--power-budget", "260", "--algorithm", "bb-first", "--time-limit", "0.3",
+    ])
+    assert rc == 4
+    assert "no schedule found before the time limit" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -360,8 +373,142 @@ def test_bad_area_budget_is_input_error(tmp_path, capsys):
     assert "area budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--area-budget", "mull=1"], "'mull' is not in the library"),
+        (["--area-budget", "mul=1,mul=9"], "names 'mul' twice"),
+        (["--time-limit", "nan"], "time_limit must be positive"),
+        (["--power-budget", "nan"], "power cap must be finite"),
+        (["--power-budget", "inf"], "power cap must be finite"),
+    ],
+)
+def test_budget_that_would_be_ignored_is_input_error(capsys, flags, message):
+    rc = main([
+        "budget", "--dfg", str(bench_path("diffeq")), "--lib", LIB,
+        "--algorithm", "bb-first", *flags,
+    ])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_finite_library_is_input_error(tmp_path, capsys):
+    lib = tmp_path / "nan.lib"
+    lib.write_text(
+        Path(LIB).read_text(encoding="utf-8").replace("pdyn=16.00", "pdyn=nan", 1),
+        encoding="utf-8",
+    )
+    rc = main(["pareto", "--dfg", str(bench_path("diffeq")), "--lib", str(lib)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"1": 5}, "expected [start, cycles]"),
+        ({"runs": [1]}, "must hold objects with a schedule"),
+        ({"front": [{"area": 1}]}, "must hold objects with a schedule"),
+    ],
+)
+def test_validate_malformed_schedule_is_input_error(tmp_path, capsys, doc, message):
+    graph = dfg_file(tmp_path, support.TRI_DFG)
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps(doc))
+    rc = main(["validate", "--dfg", graph, "--lib", LIB, "--schedule", str(sched)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_negative_k_max_is_input_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main([
+        "sweep", "--dfg", dfg_file(tmp_path, support.TRI_DFG), "--lib", LIB,
+        "--k-max", "-1", "--out", str(out),
+    ])
+    assert rc == 2
+    assert "--k-max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cycle_is_input_error(tmp_path, capsys):
     text = "name loop\nnode 1 mul\nnode 2 mul\nedge 1 -> 2\nedge 2 -> 1\n"
     rc = main(["pareto", "--dfg", dfg_file(tmp_path, text), "--lib", LIB])
     assert rc == 2
     assert "cycle" in capsys.readouterr().err.lower()
+
+
+# ---------------------------------------------------------------------------
+# sidecar schema
+
+
+def key_paths(doc: object, prefix: str = "") -> set[str]:
+    """Every key path of a JSON document; ``[]`` marks a list's items.
+
+    Schedules and per-type areas are keyed by node id and op type, which are
+    data rather than schema, so their keys are not descended into.
+    """
+    paths: set[str] = set()
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths.add(path)
+            if key not in ("schedule", "area_by_type"):
+                paths |= key_paths(val, path)
+    elif isinstance(doc, list):
+        for val in doc:
+            paths |= key_paths(val, prefix + "[]")
+    return paths
+
+
+def under(prefix: str, keys: set[str]) -> set[str]:
+    return {f"{prefix}.{k}" for k in keys}
+
+
+FRONT = {"area", "area_by_type", "dynamic", "latency", "leakage", "power", "schedule", "switching"}
+REPORT = {
+    "budget_prunes", "completed", "dominance_prunes", "elapsed", "front", "front_size",
+    "nodes_expanded",
+} | under("front[]", FRONT)
+SCHEDULE = {
+    "algorithm", "area", "command", "dfg", "elapsed", "feasible", "k", "mode", "power",
+    "schedule",
+}
+
+# The key sets each subcommand wrote before the CLI shared one output path.
+SIDECAR_KEYS = {
+    "pareto": {"command", "dfg", "k", "latency_bound", "mode", "first_solution", *REPORT}
+    | under("first_solution", {"area", "elapsed", "power", "schedule"}),
+    "compare": {"command", "dfg", "k", "latency_bound", "coverage", "runs"}
+    | under("coverage", {"covered_by_fgdvs", "multi_points", "percent"})
+    | under("runs", {"single-vdd", "multi-vdd", "fgdvs"})
+    | under("runs.single-vdd", REPORT)
+    | under("runs.multi-vdd", REPORT)
+    | under("runs.fgdvs", REPORT),
+    "sweep": {"command", "dfg", "k_max", "mode", "runs", "front3"}
+    | under("runs[]", {"k", "latency_bound", *REPORT})
+    | under("front3[]", {"area", "k", "latency", "power", "schedule"}),
+    "budget-list": SCHEDULE,
+    "budget-bb-first": SCHEDULE,
+    "budget-bb": {"algorithm", "command", "dfg", "k", "mode", *REPORT},
+    "oracle": {"command", "dfg", "front", "front_size", "k", "latency_bound", "mode"}
+    | under("front[]", FRONT),
+}
+
+
+def test_sidecar_keys_unchanged(tmp_path):
+    graph = dfg_file(tmp_path, support.SMOKE_DFG)
+    cap = ["--k", "1", "--power-budget", "60", "--algorithm"]
+    commands = {
+        "pareto": ["pareto", "--k", "2", "--emit-first"],
+        "compare": ["compare", "--k", "1"],
+        "sweep": ["sweep", "--k-max", "1", "--front3"],
+        "budget-list": ["budget", *cap, "list"],
+        "budget-bb-first": ["budget", *cap, "bb-first"],
+        "budget-bb": ["budget", *cap, "bb"],
+        "oracle": ["oracle", "--k", "2"],
+    }
+    for name, (sub, *flags) in commands.items():
+        side = tmp_path / f"{name}.json"
+        assert main([sub, "--dfg", graph, "--lib", LIB, *flags, "--json", str(side)]) == 0
+        assert key_paths(json.loads(side.read_text())) == SIDECAR_KEYS[name], name

@@ -9,14 +9,16 @@ from hypothesis import strategies as st
 from dvsched import (
     POWER_EPS,
     ArchMode,
+    Budget,
     CostTuple,
     LibraryError,
     ParetoSet,
+    ResourceLibrary,
+    VoltageLevel,
     area_of,
     compute_timing,
     cost_equal,
     dominates,
-    dominates3,
     load_resource_library,
     parse_dfg,
     power_of,
@@ -113,6 +115,25 @@ def test_library_unknown_directive_rejected():
 def test_library_empty_document_rejected():
     with pytest.raises(LibraryError):
         load_resource_library("# nothing here\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["vdd", "pdyn", "plk", "psw"])
+def test_library_non_finite_values_rejected(key, value):
+    fields = {"vdd": "1.0", "cycles": "1", "pdyn": "5", "plk": "0.5", "psw": "1"}
+    fields[key] = value
+    text = "type mul\nlevel " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n"
+    with pytest.raises(LibraryError) as exc:
+        load_resource_library(text)
+    assert "line 2" in str(exc.value) and "finite" in str(exc.value)
+    with pytest.raises(LibraryError):
+        ResourceLibrary({"mul": [VoltageLevel(1.0, 1, float(value), 0.5, 1.0)]})
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf")])
+def test_budget_rejects_non_finite_power_cap(cap):
+    with pytest.raises(ValueError, match="finite"):
+        Budget(power_cap=cap)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +283,17 @@ def test_dominates_epsilon_ties():
     assert not cost_equal(ct(4, 100.0), ct(4, 100.1))
 
 
-def test_dominates3_examples():
-    assert dominates3(ct(4, 100.0, latency=5), ct(4, 100.0, latency=6))
-    assert not dominates3(ct(4, 100.0, latency=6), ct(5, 90.0, latency=5))
+def front3_of(cost: CostTuple) -> ParetoSet:
+    front = ParetoSet(("latency", "area_total", "power"))
+    front.insert(cost, {})
+    return front
+
+
+def test_front3_covers_examples():
+    # strictly better in latency alone: covers, and is not covered back
+    assert front3_of(ct(4, 100.0, latency=5)).covers(ct(4, 100.0, latency=6))
+    assert not front3_of(ct(4, 100.0, latency=6)).covers(ct(4, 100.0, latency=5))
+    assert not front3_of(ct(4, 100.0, latency=6)).covers(ct(5, 90.0, latency=5))
 
 
 coarse = st.tuples(st.integers(0, 3), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]))
