@@ -41,14 +41,12 @@ from .power import (
     LibraryError,
     ParetoEntry,
     ParetoSet,
-    PowerBreakdown,
     ResourceLibrary,
     VoltageLevel,
     area_of,
     cost_equal,
     dominates,
     load_resource_library,
-    power_of,
     schedule_cost,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "POWER_EPS",
     "ParetoEntry",
     "ParetoSet",
-    "PowerBreakdown",
     "Priority",
     "ResourceLibrary",
     "Schedule",
@@ -88,7 +85,6 @@ __all__ = [
     "load_resource_library",
     "oracle_front",
     "parse_dfg",
-    "power_of",
     "schedule_cost",
     "state_space_estimate",
     "topological_order",

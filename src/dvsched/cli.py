@@ -396,18 +396,18 @@ def cmd_budget(args: argparse.Namespace) -> int:
         if schedule is None:
             print(f"{g.name}: INFEASIBLE ({elapsed:.4f}s, priority={args.priority})")
             return _emit(args, {**base, "feasible": False, "elapsed": elapsed})
+        cost = schedule_cost(g, schedule, lib, mode, timing.latency_bound)
     else:  # bb-first
         cfg = SearchConfig(mode=mode, budget=budget, time_limit=args.time_limit)
         report = bb_first(g, timing, lib, cfg)
         if report.first_solution is None:
             if not report.completed:
                 print("no schedule found before the time limit", file=sys.stderr)
-                return EXIT_TIME_LIMIT
+                data = {**base, "completed": False, "elapsed": report.elapsed}
+                return _emit(args, data, completed=False)
             print(f"{g.name}: NONE")
             return _emit(args, {**base, "feasible": False})
-        _c, schedule, elapsed = report.first_solution
-
-    cost = schedule_cost(g, schedule, lib, mode, timing.latency_bound)
+        cost, schedule, elapsed = report.first_solution
     print(
         f"{g.name}: ({cost.area_total}, {_fmt(cost.power)}) "
         f"{elapsed:.4f}s ({args.algorithm})"

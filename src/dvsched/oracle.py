@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .dfg import Dfg, Schedule, TimingInfo
-from .listsched import Budget
-from .power import ArchMode, ParetoSet, ResourceLibrary, schedule_cost
+from .power import ArchMode, Budget, ParetoSet, ResourceLibrary, schedule_cost
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ Three architecture styles are costed for the same schedule:
   while idle, at the price of a per-switch overhead.
 
 A node's duration selects its voltage level: cycle counts are unique within
-an op type, so (type, duration) identifies the level.
+an op type, so (type, duration) identifies the level.  ``schedule_cost``
+looks each node's level up once, in a single pass over the schedule, and
+returns the area with the dynamic, leakage and switching power;
+``area_of`` is the area part of the same pass.
 
 Library file format (line oriented, ``#`` starts a comment)::
 
@@ -23,7 +26,6 @@ psw is mW charged once per voltage-switch event.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
@@ -183,19 +185,56 @@ def load_resource_library(text: str) -> ResourceLibrary:
     return ResourceLibrary(levels_by_type)
 
 
-def _occupancy(steps: Iterator[tuple[object, int, int]]) -> dict[object, int]:
-    """Max concurrent occupancy per key over (key, start, duration) items."""
-    hist: dict[object, defaultdict[int, int]] = {}
-    peak: dict[object, int] = {}
-    for key, start, dur in steps:
-        row = hist.setdefault(key, defaultdict(int))
-        best = peak.get(key, 0)
+class _Walk(NamedTuple):
+    """Everything a schedule's area and power are made of, from one pass."""
+
+    peaks: dict[tuple[str, int], int]  # peak concurrency per (type, level index or 0)
+    area_by_type: dict[str, int]
+    dynamic: list[float]  # p_dyn * cycles per node
+    gated_leakage: list[float]  # p_lk * cycles per node
+    ops_by_type: dict[str, list[tuple[int, int, int, float]]]  # (start, node, cycles, p_sw)
+    completion: int  # last occupied c-step
+
+
+def _walk(g: Dfg, schedule: Schedule, lib: ResourceLibrary, mode: ArchMode) -> _Walk:
+    """Look up each node's level once and collect its area and power terms.
+
+    Occupancy is keyed by (type, level index) under MULTI_VDD, where each
+    unit is pinned to one level, and by (type, 0) otherwise.  SINGLE_VDD
+    rejects any duration other than the level-0 cycle count.
+    """
+    multi = mode is ArchMode.MULTI_VDD
+    single = mode is ArchMode.SINGLE_VDD
+    rows: dict[tuple[str, int], dict[int, int]] = {}
+    peaks: dict[tuple[str, int], int] = {}
+    dynamic: list[float] = []
+    gated: list[float] = []
+    ops_by_type: dict[str, list[tuple[int, int, int, float]]] = {}
+    completion = 0
+    for nid, (start, dur) in schedule.items():
+        op = g.nodes[nid]
+        if single and dur != lib.fastest(op).cycles:
+            raise LibraryError(
+                f"node {nid}: duration {dur} is not the level-0 "
+                f"cycle count for {op!r} in single-vdd mode"
+            )
+        idx, lvl = lib.level_for(op, dur)
+        key = (op, idx if multi else 0)
+        row = rows.setdefault(key, {})
+        best = peaks.get(key, 0)
         for step in range(start, start + dur):
-            row[step] += 1
-            if row[step] > best:
-                best = row[step]
-        peak[key] = best
-    return peak
+            row[step] = count = row.get(step, 0) + 1
+            if count > best:
+                best = count
+        peaks[key] = best
+        dynamic.append(lvl.p_dyn * dur)
+        gated.append(lvl.p_lk * dur)
+        ops_by_type.setdefault(op, []).append((start, nid, dur, lvl.p_sw))
+        completion = max(completion, start + dur - 1)
+    area_by_type: dict[str, int] = {}
+    for (op, _idx), count in peaks.items():
+        area_by_type[op] = area_by_type.get(op, 0) + count
+    return _Walk(peaks, area_by_type, dynamic, gated, ops_by_type, completion)
 
 
 def area_of(
@@ -205,47 +244,15 @@ def area_of(
 
     FGDVS and SINGLE_VDD allocate per-type peak concurrency; MULTI_VDD pins
     each unit to one level, so per-(type, level) peaks are summed per type.
-    The schedule may be partial; missing nodes contribute nothing.
-    SINGLE_VDD rejects any duration other than the level-0 cycle count.
+    The schedule may be partial; missing nodes contribute nothing.  A
+    duration with no level in the library raises LibraryError, as does a
+    SINGLE_VDD duration other than the level-0 cycle count.
     """
-    if mode is ArchMode.MULTI_VDD:
-        def items() -> Iterator[tuple[object, int, int]]:
-            for nid, (start, dur) in schedule.items():
-                op = g.nodes[nid]
-                idx, _ = lib.level_for(op, dur)
-                yield (op, idx), start, dur
-
-        peak = _occupancy(items())
-        by_type: dict[str, int] = defaultdict(int)
-        for (op, _idx), count in peak.items():
-            by_type[op] += count
-    else:
-        if mode is ArchMode.SINGLE_VDD:
-            for nid, (_start, dur) in schedule.items():
-                op = g.nodes[nid]
-                if dur != lib.fastest(op).cycles:
-                    raise LibraryError(
-                        f"node {nid}: duration {dur} is not the level-0 "
-                        f"cycle count for {op!r} in single-vdd mode"
-                    )
-
-        def items() -> Iterator[tuple[object, int, int]]:
-            for nid, (start, dur) in schedule.items():
-                yield g.nodes[nid], start, dur
-
-        by_type = dict(_occupancy(items()))  # type: ignore[arg-type]
-    clean = {op: int(n) for op, n in by_type.items()}
-    return sum(clean.values()), clean
+    by_type = _walk(g, schedule, lib, mode).area_by_type
+    return sum(by_type.values()), by_type
 
 
-class PowerBreakdown(NamedTuple):
-    dynamic: float
-    leakage: float
-    switching: float
-    total: float
-
-
-def _fgdvs_switching(g: Dfg, schedule: Schedule, lib: ResourceLibrary) -> float:
+def _fgdvs_switching(walk: _Walk) -> float:
     """Switch overhead under greedy instance binding.
 
     Ops of each type are bound in ascending (start, node id) order to the
@@ -255,88 +262,28 @@ def _fgdvs_switching(g: Dfg, schedule: Schedule, lib: ResourceLibrary) -> float:
     then never-used unit, then any free unit (charged); ties go to the
     lowest unit index.
     """
-    _, pool = area_of(g, schedule, lib, ArchMode.FGDVS)
-    by_type: dict[str, list[tuple[int, int, int]]] = defaultdict(list)
-    for nid, (start, dur) in schedule.items():
-        by_type[g.nodes[nid]].append((start, nid, dur))
     charges: list[float] = []
-    for op, ops in by_type.items():
+    for op, ops in walk.ops_by_type.items():
         ops.sort()
-        units: list[list[int]] = [[0, 0] for _ in range(pool[op])]  # [busy_until, last_dur]
-        for start, _nid, dur in ops:
-            free = [i for i, u in enumerate(units) if u[0] < start]
-            chosen: int | None = None
-            for i in free:
-                if units[i][1] == dur and units[i][0] > 0:
-                    chosen = i
+        units = [[0, 0] for _ in range(walk.area_by_type[op])]  # [busy_until, last_dur]
+        for start, _nid, dur, p_sw in ops:
+            same = fresh = spare = None  # first free unit of each kind
+            for u in units:
+                if u[0] >= start:
+                    continue
+                if u[0] == 0:
+                    fresh = fresh or u
+                elif u[1] == dur:
+                    same = u
                     break
+                spare = spare or u
+            chosen = same or fresh
             if chosen is None:
-                for i in free:
-                    if units[i][0] == 0:  # never used
-                        chosen = i
-                        break
-            if chosen is None:
-                chosen = free[0]
-                _, lvl = lib.level_for(op, dur)
-                charges.append(lvl.p_sw)
-            units[chosen][0] = start + dur - 1
-            units[chosen][1] = dur
+                chosen = spare
+                charges.append(p_sw)
+            chosen[0] = start + dur - 1
+            chosen[1] = dur
     return math.fsum(charges)
-
-
-def power_of(
-    g: Dfg,
-    schedule: Schedule,
-    lib: ResourceLibrary,
-    mode: ArchMode,
-    latency_bound: int,
-) -> PowerBreakdown:
-    """Average-power breakdown of a (possibly partial) schedule.
-
-    Dynamic power is each op's per-step draw times its duration.  Leakage is
-    per-op under FGDVS (idle units are gated) but per allocated always-on
-    unit times the latency bound otherwise.  Switching overhead applies to
-    FGDVS only.  SINGLE_VDD durations are checked by ``area_of``, which the
-    leakage term calls.
-    """
-    dyn_terms: list[float] = []
-    fg_leak_terms: list[float] = []
-    completion = 0
-    for nid, (start, dur) in schedule.items():
-        op = g.nodes[nid]
-        _, lvl = lib.level_for(op, dur)
-        dyn_terms.append(lvl.p_dyn * dur)
-        fg_leak_terms.append(lvl.p_lk * dur)
-        completion = max(completion, start + dur - 1)
-    if completion > latency_bound:
-        raise ValueError(
-            f"schedule completes at step {completion}, after the latency bound {latency_bound}"
-        )
-    dynamic = math.fsum(dyn_terms)
-    if mode is ArchMode.FGDVS:
-        leakage = math.fsum(fg_leak_terms)
-        switching = _fgdvs_switching(g, schedule, lib)
-    else:
-        _, by_key = area_of(g, schedule, lib, mode)
-        if mode is ArchMode.SINGLE_VDD:
-            leakage = math.fsum(
-                count * lib.fastest(op).p_lk * latency_bound
-                for op, count in by_key.items()
-            )
-        else:
-            def mv_items() -> Iterator[tuple[object, int, int]]:
-                for nid, (start, dur) in schedule.items():
-                    op = g.nodes[nid]
-                    idx, _ = lib.level_for(op, dur)
-                    yield (op, idx), start, dur
-
-            peaks = _occupancy(mv_items())
-            leakage = math.fsum(
-                count * lib.levels(op)[idx].p_lk * latency_bound
-                for (op, idx), count in peaks.items()
-            )
-        switching = 0.0
-    return PowerBreakdown(dynamic, leakage, switching, dynamic + leakage + switching)
 
 
 @dataclass
@@ -394,14 +341,36 @@ def schedule_cost(
     mode: ArchMode,
     latency_bound: int,
 ) -> CostTuple:
-    area_total, by_type = area_of(g, schedule, lib, mode)
-    pb = power_of(g, schedule, lib, mode, latency_bound)
+    """Area and average power of a (possibly partial) schedule, in one pass.
+
+    Dynamic power is each op's per-step draw times its duration.  Leakage is
+    per-op under FGDVS (idle units are gated) but per allocated always-on
+    unit times the latency bound otherwise.  Switching overhead applies to
+    FGDVS only.  A duration with no level in the library raises
+    LibraryError, and a schedule that completes after ``latency_bound``
+    raises ValueError.
+    """
+    walk = _walk(g, schedule, lib, mode)
+    if walk.completion > latency_bound:
+        raise ValueError(
+            f"schedule completes at step {walk.completion}, "
+            f"after the latency bound {latency_bound}"
+        )
+    if mode is ArchMode.FGDVS:
+        leakage = math.fsum(walk.gated_leakage)
+        switching = _fgdvs_switching(walk)
+    else:
+        leakage = math.fsum(
+            count * lib.levels(op)[idx].p_lk * latency_bound
+            for (op, idx), count in walk.peaks.items()
+        )
+        switching = 0.0
     return CostTuple(
-        area_total=area_total,
-        area_by_type=by_type,
-        dynamic=pb.dynamic,
-        leakage=pb.leakage,
-        switching=pb.switching,
+        area_total=sum(walk.area_by_type.values()),
+        area_by_type=walk.area_by_type,
+        dynamic=math.fsum(walk.dynamic),
+        leakage=leakage,
+        switching=switching,
         latency=latency_bound,
     )
 

@@ -284,6 +284,35 @@ def test_budget_bb_first_time_limit_runs_one_search(monkeypatch, capsys):
     assert "no schedule found before the time limit" in capsys.readouterr().err
 
 
+def test_budget_bb_first_time_limit_writes_sidecar(tmp_path, capsys):
+    side = tmp_path / "to.json"
+    rc = main([
+        "budget", "--dfg", str(bench_path("volterra")), "--lib", LIB, "--k", "1",
+        "--power-budget", "260", "--algorithm", "bb-first", "--time-limit", "0.2",
+        "--json", str(side),
+    ])
+    assert rc == 4
+    data = json.loads(side.read_text())
+    assert data.pop("elapsed") >= 0.2
+    assert data == {
+        "command": "budget", "dfg": "volterra", "mode": "fgdvs", "k": 1,
+        "algorithm": "bb-first", "completed": False,
+    }
+
+
+def test_budget_bb_first_reports_the_search_cost(monkeypatch, capsys):
+    def no_recost(*_args, **_kwargs):
+        raise AssertionError("bb-first's schedule is already costed")
+
+    monkeypatch.setattr("dvsched.cli.schedule_cost", no_recost)
+    rc = main([
+        "budget", "--dfg", str(bench_path("diffeq")), "--lib", LIB,
+        "--area-budget", "mul=4,add=1,comp=1", "--algorithm", "bb-first",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("diffeq: (6, 128.750000) ")
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

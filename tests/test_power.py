@@ -13,19 +13,21 @@ from dvsched import (
     CostTuple,
     LibraryError,
     ParetoSet,
+    Priority,
     ResourceLibrary,
     VoltageLevel,
     area_of,
     compute_timing,
     cost_equal,
     dominates,
+    list_schedule,
     load_resource_library,
     parse_dfg,
-    power_of,
     schedule_cost,
 )
 
 import support
+from conftest import BENCH_NAMES, load_bench
 
 TRI = parse_dfg(support.TRI_DFG)
 TINY = load_resource_library(support.TINY_LIB)
@@ -170,6 +172,13 @@ def test_area_single_vdd_rejects_slow_durations():
         area_of(g, {1: (1, 2)}, TINY, ArchMode.SINGLE_VDD)
 
 
+def test_area_rejects_duration_with_no_level():
+    g = parse_dfg("name one\nnode 1 mul\n")
+    for mode in (ArchMode.MULTI_VDD, ArchMode.FGDVS):  # single-vdd: the level-0 check
+        with pytest.raises(LibraryError, match="no 'mul' level takes 7 cycles"):
+            area_of(g, {1: (1, 7)}, TINY, mode)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2))
 def test_area_fgdvs_never_above_multi(seed, k):
@@ -194,10 +203,10 @@ def test_area_fgdvs_never_above_multi(seed, k):
 
 def test_power_single_node_fgdvs_breakdown():
     g = parse_dfg("name one\nnode 1 mul\n")
-    pb = power_of(g, {1: (1, 1)}, TINY, ArchMode.FGDVS, 1)
-    assert pb.dynamic == pytest.approx(8.0)
-    assert pb.leakage == pytest.approx(1.0)
-    assert pb.switching == 0.0
+    cost = schedule_cost(g, {1: (1, 1)}, TINY, ArchMode.FGDVS, 1)
+    assert cost.dynamic == pytest.approx(8.0)
+    assert cost.leakage == pytest.approx(1.0)
+    assert cost.switching == 0.0
 
 
 def test_power_always_on_leakage_single_and_multi():
@@ -205,28 +214,28 @@ def test_power_always_on_leakage_single_and_multi():
     g = parse_dfg("name two\nnode 1 mul\nnode 2 mul\n")
     s = {1: (1, 1), 2: (2, 1)}
     for mode in (ArchMode.SINGLE_VDD, ArchMode.MULTI_VDD):
-        pb = power_of(g, s, TINY, mode, 4)
-        assert pb.dynamic == pytest.approx(16.0)
-        assert pb.leakage == pytest.approx(1.0 * 4)
-        assert pb.switching == 0.0
-    pb = power_of(g, s, TINY, ArchMode.FGDVS, 4)
-    assert pb.leakage == pytest.approx(2.0)  # gated while idle
+        cost = schedule_cost(g, s, TINY, mode, 4)
+        assert cost.dynamic == pytest.approx(16.0)
+        assert cost.leakage == pytest.approx(1.0 * 4)
+        assert cost.switching == 0.0
+    cost = schedule_cost(g, s, TINY, ArchMode.FGDVS, 4)
+    assert cost.leakage == pytest.approx(2.0)  # gated while idle
 
 
 def test_power_same_level_reuse_has_no_switch_charge():
     g = parse_dfg("name two\nnode 1 mul\nnode 2 mul\n")
-    pb = power_of(g, {1: (1, 1), 2: (2, 1)}, TINY, ArchMode.FGDVS, 2)
-    assert pb.switching == 0.0
+    cost = schedule_cost(g, {1: (1, 1), 2: (2, 1)}, TINY, ArchMode.FGDVS, 2)
+    assert cost.switching == 0.0
 
 
 def test_power_cross_level_reuse_charges_once():
     g = parse_dfg("name two\nnode 1 mul\nnode 2 mul\n")
     s = {1: (1, 1), 2: (2, 2)}  # one unit, levels differ on reuse
     assert area_of(g, s, TINY, ArchMode.FGDVS) == (1, {"mul": 1})
-    pb = power_of(g, s, TINY, ArchMode.FGDVS, 3)
-    assert pb.switching == pytest.approx(2.0)
-    assert pb.dynamic == pytest.approx(8.0 + 6.0)
-    assert pb.leakage == pytest.approx(1.0 + 1.0)
+    cost = schedule_cost(g, s, TINY, ArchMode.FGDVS, 3)
+    assert cost.switching == pytest.approx(2.0)
+    assert cost.dynamic == pytest.approx(8.0 + 6.0)
+    assert cost.leakage == pytest.approx(1.0 + 1.0)
 
 
 def test_power_fresh_instance_never_charges():
@@ -234,14 +243,14 @@ def test_power_fresh_instance_never_charges():
     g = parse_dfg("name two\nnode 1 mul\nnode 2 mul\n")
     s = {1: (1, 1), 2: (1, 2)}  # concurrent, so area is 2
     assert area_of(g, s, TINY, ArchMode.FGDVS) == (2, {"mul": 2})
-    pb = power_of(g, s, TINY, ArchMode.FGDVS, 2)
-    assert pb.switching == 0.0
+    cost = schedule_cost(g, s, TINY, ArchMode.FGDVS, 2)
+    assert cost.switching == 0.0
 
 
 def test_power_rejects_completion_past_bound():
     g = parse_dfg("name one\nnode 1 mul\n")
     with pytest.raises(ValueError):
-        power_of(g, {1: (1, 2)}, TINY, ArchMode.FGDVS, 1)
+        schedule_cost(g, {1: (1, 2)}, TINY, ArchMode.FGDVS, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,16 +262,134 @@ def test_power_bounds_on_random_schedules(seed, k):
     s = support.random_schedule(rng, g, t, lib)
     sw_cap = sum(max(lv.p_sw for lv in lib.levels(g.nodes[v])) for v in g.nodes)
     for mode in (ArchMode.MULTI_VDD, ArchMode.FGDVS):
-        pb = power_of(g, s, lib, mode, t.latency_bound)
-        assert pb.dynamic >= 0 and pb.leakage >= 0 and pb.switching >= 0
+        cost = schedule_cost(g, s, lib, mode, t.latency_bound)
+        assert cost.dynamic >= 0 and cost.leakage >= 0 and cost.switching >= 0
         if mode is ArchMode.MULTI_VDD:
-            assert pb.switching == 0.0
+            assert cost.switching == 0.0
         else:
             # every op charges at most one switch event
-            assert pb.switching <= sw_cap + POWER_EPS
-        cost = schedule_cost(g, s, lib, mode, t.latency_bound)
-        assert cost.power == pytest.approx(pb.dynamic + pb.leakage + pb.switching)
+            assert cost.switching <= sw_cap + POWER_EPS
+        assert area_of(g, s, lib, mode) == (cost.area_total, cost.area_by_type)
         assert cost.area_total == sum(cost.area_by_type.values())
+
+
+@pytest.mark.parametrize("mode", list(ArchMode))
+def test_schedule_cost_looks_up_each_level_once(mode, default_lib_path, diffeq):
+    lib = load_resource_library(default_lib_path.read_text(encoding="utf-8"))
+    t = compute_timing(diffeq, 1)
+    s = list_schedule(diffeq, t, lib, mode, priority=Priority.MAX_DURATION)
+    lookups = []
+    real = lib.level_for
+
+    def counted(op: str, cycles: int):
+        lookups.append((op, cycles))
+        return real(op, cycles)
+
+    lib.level_for = counted
+    schedule_cost(diffeq, s, lib, mode, t.latency_bound)
+    assert len(lookups) == len(s)
+
+
+# repr of (area_by_type, dynamic, leakage, switching) for each list schedule
+# at k=1, taken from the three-pass cost code that the single pass replaced.
+GOLDEN_LIST_COSTS = {
+    ("dct", "single-vdd", "max-duration"):
+        "({'add': 8, 'mul': 8, 'comp': 2}, 408.0, 49.7, 0.0)",
+    ("dct", "single-vdd", "min-duration"):
+        "({'add': 8, 'mul': 8, 'comp': 2}, 408.0, 49.7, 0.0)",
+    ("dct", "multi-vdd", "max-duration"):
+        "({'add': 16, 'mul': 10, 'comp': 2}, 376.76, 64.82000000000001, 0.0)",
+    ("dct", "multi-vdd", "min-duration"):
+        "({'add': 8, 'mul': 8, 'comp': 2}, 408.0, 49.7, 0.0)",
+    ("dct", "fgdvs", "max-duration"):
+        "({'add': 8, 'mul': 8, 'comp': 2}, 376.76, 17.02, 7.0)",
+    ("dct", "fgdvs", "min-duration"):
+        "({'add': 8, 'mul': 8, 'comp': 2}, 408.0, 15.9, 0.0)",
+    ("diffeq", "single-vdd", "max-duration"):
+        "({'mul': 4, 'add': 1, 'comp': 1}, 124.0, 14.0, 0.0)",
+    ("diffeq", "single-vdd", "min-duration"):
+        "({'mul': 4, 'add': 1, 'comp': 1}, 124.0, 14.0, 0.0)",
+    ("diffeq", "multi-vdd", "max-duration"):
+        "({'mul': 5, 'add': 3, 'comp': 1}, 87.16, 13.2, 0.0)",
+    ("diffeq", "multi-vdd", "min-duration"):
+        "({'mul': 4, 'add': 1, 'comp': 1}, 124.0, 14.0, 0.0)",
+    ("diffeq", "fgdvs", "max-duration"):
+        "({'mul': 4, 'add': 2, 'comp': 1}, 87.16, 6.0, 2.0)",
+    ("diffeq", "fgdvs", "min-duration"):
+        "({'mul': 4, 'add': 1, 'comp': 1}, 124.0, 4.75, 0.0)",
+    ("ewf", "single-vdd", "max-duration"):
+        "({'add': 3, 'mul': 1, 'comp': 1}, 296.0, 36.0, 0.0)",
+    ("ewf", "single-vdd", "min-duration"):
+        "({'add': 3, 'mul': 1, 'comp': 1}, 296.0, 36.0, 0.0)",
+    ("ewf", "multi-vdd", "max-duration"):
+        "({'add': 4, 'mul': 2, 'comp': 1}, 263.94, 47.76, 0.0)",
+    ("ewf", "multi-vdd", "min-duration"):
+        "({'add': 3, 'mul': 1, 'comp': 1}, 296.0, 36.0, 0.0)",
+    ("ewf", "fgdvs", "max-duration"):
+        "({'add': 3, 'mul': 1, 'comp': 1}, 263.94, 12.82, 11.0)",
+    ("ewf", "fgdvs", "min-duration"):
+        "({'add': 3, 'mul': 1, 'comp': 1}, 296.0, 11.75, 0.0)",
+    ("fir", "single-vdd", "max-duration"):
+        "({'mul': 2, 'add': 1}, 236.0, 24.65, 0.0)",
+    ("fir", "single-vdd", "min-duration"):
+        "({'mul': 2, 'add': 1}, 236.0, 24.65, 0.0)",
+    ("fir", "multi-vdd", "max-duration"):
+        "({'mul': 4, 'add': 1}, 196.11, 33.15, 0.0)",
+    ("fir", "multi-vdd", "min-duration"):
+        "({'mul': 2, 'add': 1}, 236.0, 24.65, 0.0)",
+    ("fir", "fgdvs", "max-duration"):
+        "({'mul': 3, 'add': 1}, 196.11, 10.4, 1.5)",
+    ("fir", "fgdvs", "min-duration"):
+        "({'mul': 2, 'add': 1}, 236.0, 9.1, 0.0)",
+    ("iir", "single-vdd", "max-duration"):
+        "({'mul': 3, 'add': 1, 'comp': 1}, 174.0, 28.599999999999998, 0.0)",
+    ("iir", "single-vdd", "min-duration"):
+        "({'mul': 3, 'add': 1, 'comp': 1}, 174.0, 28.599999999999998, 0.0)",
+    ("iir", "multi-vdd", "max-duration"):
+        "({'mul': 5, 'add': 1, 'comp': 1}, 152.89, 35.1, 0.0)",
+    ("iir", "multi-vdd", "min-duration"):
+        "({'mul': 3, 'add': 1, 'comp': 1}, 174.0, 28.599999999999998, 0.0)",
+    ("iir", "fgdvs", "max-duration"):
+        "({'mul': 3, 'add': 1, 'comp': 1}, 152.89, 7.3999999999999995, 3.0)",
+    ("iir", "fgdvs", "min-duration"):
+        "({'mul': 3, 'add': 1, 'comp': 1}, 174.0, 6.7, 0.0)",
+    ("lattice", "single-vdd", "max-duration"):
+        "({'mul': 2, 'add': 2}, 288.0, 28.9, 0.0)",
+    ("lattice", "single-vdd", "min-duration"):
+        "({'mul': 2, 'add': 2}, 288.0, 28.9, 0.0)",
+    ("lattice", "multi-vdd", "max-duration"):
+        "({'mul': 4, 'add': 2}, 275.48, 42.5, 0.0)",
+    ("lattice", "multi-vdd", "min-duration"):
+        "({'mul': 2, 'add': 2}, 288.0, 28.9, 0.0)",
+    ("lattice", "fgdvs", "max-duration"):
+        "({'mul': 2, 'add': 2}, 275.48, 11.6, 3.0)",
+    ("lattice", "fgdvs", "min-duration"):
+        "({'mul': 2, 'add': 2}, 288.0, 11.2, 0.0)",
+    ("volterra", "single-vdd", "max-duration"):
+        "({'mul': 10, 'add': 2}, 328.0, 84.5, 0.0)",
+    ("volterra", "single-vdd", "min-duration"):
+        "({'mul': 10, 'add': 2}, 328.0, 84.5, 0.0)",
+    ("volterra", "multi-vdd", "max-duration"):
+        "({'mul': 12, 'add': 2}, 251.42000000000002, 66.3, 0.0)",
+    ("volterra", "multi-vdd", "min-duration"):
+        "({'mul': 10, 'add': 2}, 328.0, 84.5, 0.0)",
+    ("volterra", "fgdvs", "max-duration"):
+        "({'mul': 10, 'add': 2}, 251.42000000000002, 15.2, 3.0)",
+    ("volterra", "fgdvs", "min-duration"):
+        "({'mul': 10, 'add': 2}, 328.0, 12.6, 0.0)",
+}
+
+
+@pytest.mark.parametrize("name", BENCH_NAMES)
+def test_list_schedule_costs_match_golden(name, default_lib):
+    g = load_bench(name)
+    t = compute_timing(g, 1)
+    for mode in ArchMode:
+        for priority in Priority:
+            s = list_schedule(g, t, default_lib, mode, priority=priority)
+            c = schedule_cost(g, s, default_lib, mode, t.latency_bound)
+            got = repr((c.area_by_type, c.dynamic, c.leakage, c.switching))
+            assert got == GOLDEN_LIST_COSTS[name, mode.value, priority.value], (mode, priority)
 
 
 # ---------------------------------------------------------------------------
