@@ -5,9 +5,10 @@ precedence-feasible step and durations are tried fastest-first.  A branch
 is cut when a lower bound on every completion of the current prefix
 already violates the budget or is dominated-or-equalled by a completed
 solution on the archive.  The bound is the running prefix cost plus what
-the unplaced suffix must still pay: each remaining op's cheapest energy,
-and one unit (with its always-on leakage, outside FGDVS) for each op type
-that is still to come but has none allocated yet.
+the unplaced suffix must still pay: each remaining op's cheapest energy
+among levels that fit the op's window, and one unit (with its always-on
+leakage, outside FGDVS) for each op type that is still to come but has
+none allocated yet.
 
 The prefix power counts dynamic and leakage only.  The FGDVS switching
 overhead of a completed schedule is *not* monotone in its prefixes (a
@@ -94,24 +95,33 @@ def _run(
     asap_a = [timing.asap[v] for v in order]
     alap_a = [timing.alap[v] for v in order]
 
-    # Per node: (duration, key, dyn+leak prefix energy) fastest-first.  The
-    # prefix energy folds per-op leakage in under FGDVS; always-on leakage
-    # for the other modes is tracked per allocated unit below.
+    # Per node: (duration, key, dyn+leak prefix energy) fastest-first, for
+    # the levels whose duration fits the node's window; no placement can
+    # use a longer one.  The prefix energy folds per-op leakage in under
+    # FGDVS; always-on leakage for the other modes is tracked per allocated
+    # unit below.
     options: list[tuple[tuple[int, int, float], ...]] = []
-    for v in order:
+    for i, v in enumerate(order):
         op = g.nodes[v]
         ti = type_idx[op]
         levels = lib.levels(op)
         if mode is ArchMode.SINGLE_VDD:
             levels = levels[:1]
+        window = alap_a[i] - asap_a[i] + 1
         opts = []
         for li, lvl in enumerate(levels):
+            if lvl.cycles > window:
+                break  # cycles ascend; no later level fits either
             key = ti * max_levels + li if multi else ti
             energy = lvl.p_dyn * lvl.cycles
             if fgdvs:
                 energy += lvl.p_lk * lvl.cycles
             opts.append((lvl.cycles, key, energy))
         options.append(tuple(opts))
+    if not all(options):
+        # Some node's window is shorter than its fastest level: no schedule
+        # exists, so the search is complete before it starts.
+        return SearchReport(ParetoSet(), None, 0, 0, 0, completed=True, elapsed=0.0)
 
     n_keys = len(type_names) * max_levels if multi else len(type_names)
     key_type = [k // max_levels if multi else k for k in range(n_keys)]

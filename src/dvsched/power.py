@@ -334,6 +334,9 @@ class Budget:
         return True
 
 
+_OVERFLOW = "schedule power is too large for a float; the library's power values are too large"
+
+
 def schedule_cost(
     g: Dfg,
     schedule: Schedule,
@@ -347,8 +350,8 @@ def schedule_cost(
     per-op under FGDVS (idle units are gated) but per allocated always-on
     unit times the latency bound otherwise.  Switching overhead applies to
     FGDVS only.  A duration with no level in the library raises
-    LibraryError, and a schedule that completes after ``latency_bound``
-    raises ValueError.
+    LibraryError, as does a power too large for a float, and a schedule
+    that completes after ``latency_bound`` raises ValueError.
     """
     walk = _walk(g, schedule, lib, mode)
     if walk.completion > latency_bound:
@@ -356,19 +359,25 @@ def schedule_cost(
             f"schedule completes at step {walk.completion}, "
             f"after the latency bound {latency_bound}"
         )
-    if mode is ArchMode.FGDVS:
-        leakage = math.fsum(walk.gated_leakage)
-        switching = _fgdvs_switching(walk)
-    else:
-        leakage = math.fsum(
-            count * lib.levels(op)[idx].p_lk * latency_bound
-            for (op, idx), count in walk.peaks.items()
-        )
-        switching = 0.0
+    try:
+        dynamic = math.fsum(walk.dynamic)
+        if mode is ArchMode.FGDVS:
+            leakage = math.fsum(walk.gated_leakage)
+            switching = _fgdvs_switching(walk)
+        else:
+            leakage = math.fsum(
+                count * lib.levels(op)[idx].p_lk * latency_bound
+                for (op, idx), count in walk.peaks.items()
+            )
+            switching = 0.0
+    except OverflowError:  # finite terms whose sum is too large
+        raise LibraryError(_OVERFLOW) from None
+    if not math.isfinite(dynamic + leakage + switching):  # a term is too large
+        raise LibraryError(_OVERFLOW)
     return CostTuple(
         area_total=sum(walk.area_by_type.values()),
         area_by_type=walk.area_by_type,
-        dynamic=math.fsum(walk.dynamic),
+        dynamic=dynamic,
         leakage=leakage,
         switching=switching,
         latency=latency_bound,

@@ -7,6 +7,7 @@ tests that need reproducible corpora just seed their own rng.
 from __future__ import annotations
 
 import random
+from typing import Callable
 
 from dvsched import (
     ArchMode,
@@ -85,12 +86,33 @@ level vdd=0.60 cycles=3 pdyn=1.50 plk=0.25 psw=2.00
 """
 
 
-def random_library_text(rng: random.Random, types: list[str]) -> str:
+# default.lib with no 1-cycle add: at k=0 diffeq's adds 6 and 7 have 1-step
+# windows, shorter than the fastest add level.
+SLOW_ADD_LIB = """\
+type mul
+level vdd=1.00 cycles=1 pdyn=16.00 plk=0.60 psw=1.50
+level vdd=0.78 cycles=2 pdyn=4.87 plk=0.40 psw=1.50
+level vdd=0.68 cycles=3 pdyn=2.47 plk=0.30 psw=1.50
+
+type add
+level vdd=0.78 cycles=2 pdyn=1.83 plk=0.17 psw=0.50
+level vdd=0.68 cycles=3 pdyn=0.92 plk=0.12 psw=0.50
+
+type comp
+level vdd=1.00 cycles=1 pdyn=4.00 plk=0.15 psw=0.35
+level vdd=0.78 cycles=2 pdyn=1.22 plk=0.10 psw=0.35
+level vdd=0.68 cycles=3 pdyn=0.62 plk=0.08 psw=0.35
+"""
+
+def _library_text(
+    rng: random.Random, types: list[str], first_and_step: Callable[[], tuple[int, int]]
+) -> str:
     lines = []
     for op in types:
         n_levels = rng.randint(1, 3)
+        first, step = first_and_step()
         lines.append(f"type {op}")
-        vdd, cycles, pdyn = 1.0, 1, round(rng.uniform(4.0, 20.0), 2)
+        vdd, cycles, pdyn = 1.0, first, round(rng.uniform(4.0, 20.0), 2)
         for _ in range(n_levels):
             plk = round(rng.uniform(0.05, 1.0), 2)
             psw = round(rng.uniform(0.1, 2.0), 2)
@@ -99,9 +121,21 @@ def random_library_text(rng: random.Random, types: list[str]) -> str:
                 f"pdyn={pdyn:.2f} plk={plk:.2f} psw={psw:.2f}"
             )
             vdd = round(vdd - rng.uniform(0.1, 0.2), 2)
-            cycles += 1
+            cycles += step
             pdyn = round(pdyn * rng.uniform(0.3, 0.7), 2)
     return "\n".join(lines) + "\n"
+
+
+def random_library_text(rng: random.Random, types: list[str]) -> str:
+    """Levels at 1, 2, 3 cycles: every level fits some window."""
+    return _library_text(rng, types, lambda: (1, 1))
+
+
+def gapped_library_text(rng: random.Random, types: list[str]) -> str:
+    """A type's fastest level may take 2 cycles and its cycle counts may
+    skip (1, 3, ...), so some levels fit no window at k=0 and a node can be
+    left with no level at all."""
+    return _library_text(rng, types, lambda: (rng.choice((1, 2)), rng.choice((1, 2))))
 
 
 def random_dag_text(rng: random.Random, types: list[str], n: int) -> str:
@@ -123,11 +157,12 @@ def random_instance(
     state_cap: int = 20_000,
     k_cap: int = 2,
     max_nodes: int = 8,
+    library_text: Callable[[random.Random, list[str]], str] = random_library_text,
 ) -> tuple[Dfg, ResourceLibrary]:
     """A (graph, library) pair whose k=k_cap state space stays enumerable."""
     while True:
         types = rng.sample(OP_POOL, rng.randint(1, 3))
-        lib = load_resource_library(random_library_text(rng, types))
+        lib = load_resource_library(library_text(rng, types))
         g = parse_dfg(random_dag_text(rng, types, rng.randint(2, max_nodes)))
         timing = compute_timing(g, k_cap)
         if state_space_estimate(g, timing, lib) <= state_cap:

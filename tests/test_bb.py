@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from dvsched import (
     bb_first,
     bb_pareto,
     compute_timing,
+    load_resource_library,
     oracle_front,
     parse_dfg,
     validate_schedule,
@@ -105,6 +107,58 @@ def test_front_matches_oracle(seed, k):
             assert points_equal(rep.front.cost_points(), want)
 
 
+def _level_cut_by_window(g, t, lib) -> bool:
+    return any(
+        lvl.cycles > t.alap[v] - t.asap[v] + 1
+        for v in g.nodes
+        for lvl in lib.levels(g.nodes[v])
+    )
+
+
+def test_front_matches_oracle_on_gapped_libraries():
+    # Libraries whose fastest level takes 2 cycles or whose cycle counts
+    # skip: there the search keeps only the levels that fit a node's window,
+    # and at k=0 a node may be left with none.
+    rng = random.Random(5)
+    cut_nonempty = no_schedule = 0
+    for _ in range(40):
+        g, lib = support.random_instance(
+            rng, state_cap=3000, library_text=support.gapped_library_text
+        )
+        for k in (0, 1, 2):
+            t = compute_timing(g, k)
+            for mode in MODES:
+                free = oracle_front(g, t, lib, mode)
+                budgets = [Budget()]
+                if len(free):
+                    ref = rng.choice(free.entries).cost
+                    budgets += [
+                        Budget(area_caps=dict(ref.area_by_type)),
+                        Budget(power_cap=ref.power * rng.uniform(0.9, 1.1)),
+                    ]
+                    cut_nonempty += _level_cut_by_window(g, t, lib)
+                else:
+                    no_schedule += 1
+                for b in budgets:
+                    want = oracle_front(g, t, lib, mode, budget=b).cost_points()
+                    cfg = SearchConfig(mode=mode, budget=b, debug_check=True)
+                    rep = bb_pareto(g, t, lib, cfg)
+                    assert rep.completed
+                    assert points_equal(rep.front.cost_points(), want)
+                    hit = bb_first(g, t, lib, cfg).first_solution
+                    emit = bb_pareto(g, t, lib, replace(cfg, emit_first_solution=True))
+                    if hit is None:
+                        assert emit.first_solution is None and not want
+                        continue
+                    assert emit.first_solution is not None and want
+                    assert hit[1] == emit.first_solution[1]
+                    assert hit[0].area_total == emit.first_solution[0].area_total
+                    assert hit[0].power == pytest.approx(emit.first_solution[0].power, abs=1e-9)
+                    assert b.allows(hit[0].area_by_type, hit[0].power)
+    # the corpus reaches both effects of the window filter
+    assert cut_nonempty > 0 and no_schedule > 0
+
+
 def test_diffeq_front_frozen(default_lib, diffeq):
     t = compute_timing(diffeq, 0)
     rep = bb_pareto(diffeq, t, default_lib, SearchConfig(mode=ArchMode.FGDVS))
@@ -140,6 +194,36 @@ def test_single_vdd_front_uses_only_fastest_durations(seed):
     for e in rep.front:
         for v, (_s, d) in e.schedule.items():
             assert d == lib.fastest(g.nodes[v]).cycles
+
+
+def test_window_shorter_than_fastest_level_gives_empty_complete_report(diffeq):
+    # At k=0 diffeq's adds 6 and 7 have 1-step windows and the fastest add
+    # level takes 2 cycles, so no schedule exists.
+    lib = load_resource_library(support.SLOW_ADD_LIB)
+    t = compute_timing(diffeq, 0)
+    for mode in MODES:
+        rep = bb_pareto(diffeq, t, lib, SearchConfig(mode=mode, emit_first_solution=True))
+        assert rep.completed and len(rep.front) == 0 and rep.first_solution is None
+        rep = bb_first(diffeq, t, lib, SearchConfig(mode=mode, budget=Budget(power_cap=1e6)))
+        assert rep.completed and rep.first_solution is None
+
+
+@pytest.mark.parametrize(
+    "name, k, mode, expanded",
+    [
+        ("fir", 0, ArchMode.MULTI_VDD, 305),
+        ("ewf", 0, ArchMode.FGDVS, 5_600),
+        ("volterra", 0, ArchMode.MULTI_VDD, 117_426),
+        ("diffeq", 1, ArchMode.FGDVS, 8_558),
+    ],
+)
+def test_expansion_counts_pinned(default_lib, name, k, mode, expanded):
+    # Expansion counts are deterministic; a change here means the tree or
+    # the bound changed.
+    g = load_bench(name)
+    rep = bb_pareto(g, compute_timing(g, k), default_lib, SearchConfig(mode=mode))
+    assert rep.completed
+    assert rep.nodes_expanded == expanded
 
 
 # ---------------------------------------------------------------------------

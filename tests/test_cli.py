@@ -103,6 +103,20 @@ def test_pareto_emit_first_lands_in_sidecar(tmp_path):
     assert first["schedule"] == {"1": [1, 1], "2": [1, 1], "3": [2, 1]}
 
 
+@pytest.mark.parametrize("mode", ["single-vdd", "multi-vdd", "fgdvs"])
+def test_pareto_window_shorter_than_fastest_level(tmp_path, capsys, mode):
+    lib = tmp_path / "slow_add.lib"
+    lib.write_text(support.SLOW_ADD_LIB, encoding="utf-8")
+    out = tmp_path / "front.csv"
+    rc = main([
+        "pareto", "--dfg", str(bench_path("diffeq")), "--lib", str(lib),
+        "--mode", mode, "--k", "0", "--out", str(out),
+    ])
+    assert rc == 0
+    assert f"mode={mode} k=0 latency_bound=4 front=0 " in capsys.readouterr().out
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1  # header only
+
+
 # ---------------------------------------------------------------------------
 # compare
 

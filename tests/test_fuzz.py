@@ -1,0 +1,139 @@
+"""Fuzz tests: no input text ends in anything but a documented outcome.
+
+Each parser either returns a value or raises its own error type, and the
+CLI run on a fuzzed library exits with one of its documented codes.
+"""
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from dvsched import DfgError, LibraryError, load_resource_library, parse_dfg
+from dvsched.cli import main
+
+import support
+
+FUZZ = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# Tokens the two line formats are made of, plus near misses.
+WORDS = st.sampled_from([
+    "name", "node", "edge", "->", "type", "level", "#", "mul", "add", "comp", "x",
+    "1", "2", "3", "0", "-1", "07", "1_0", "١", "99999999999999999999",
+])
+NUMBERS = st.one_of(
+    st.sampled_from([
+        "0", "1", "2", "3", "-1", "0.5", "1e308", "1e-320", "1e400", "-0",
+        "nan", "inf", "-inf", "1_0", "٣", "0x1", "", "=", "1.5e2",
+    ]),
+    st.integers(-5, 10**12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+FIELD = st.sampled_from(["vdd", "cycles", "pdyn", "plk", "psw", "x"])
+
+
+def _line(tokens: list[str]) -> str:
+    return " ".join(tokens)
+
+
+dfg_lines = st.lists(st.lists(WORDS, min_size=0, max_size=5).map(_line), max_size=12)
+dfg_texts = st.one_of(
+    st.text(max_size=200),
+    dfg_lines.map("\n".join),
+    dfg_lines.map(lambda lines: "\n".join(["name g", *lines])),
+)
+
+level_line = st.lists(
+    st.builds(lambda k, v: f"{k}={v}", FIELD, NUMBERS), min_size=0, max_size=6
+).map(lambda kv: _line(["level", *kv]))
+type_line = st.one_of(
+    st.sampled_from(["mul", "add", "comp"]), st.text(min_size=1, max_size=4)
+).map(lambda op: f"type {op}")
+lib_texts = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.one_of(type_line, level_line, WORDS), max_size=12).map("\n".join),
+)
+
+
+# Valid power values of every magnitude; free text covers the invalid ones.
+POWER = st.one_of(
+    st.sampled_from(["0", "1", "16", "1e154", "1e308", "1e-320"]),
+    st.floats(0, 1e6).map(repr),
+)
+
+
+@st.composite
+def loadable_lib_texts(draw) -> str:
+    """Libraries for the smoke graph's types that pass the level checks more
+    often than free text: cycles ascend, vdd and pdyn descend, and the
+    magnitudes of the power values are fuzzed."""
+    lines = []
+    for op in ("mul", "add"):
+        lines.append(f"type {op}")
+        cycles = sorted(draw(st.sets(st.integers(1, 4), min_size=1, max_size=3)))
+        pdyn = draw(POWER)
+        for i, c in enumerate(cycles):
+            scaled = pdyn if i == 0 else f"{float(pdyn) / (i + 1)!r}"
+            lines.append(
+                f"level vdd={1.0 - 0.1 * i:.1f} cycles={c} "
+                f"pdyn={scaled} plk={draw(POWER)} psw={draw(POWER)}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+cli_lib_texts = st.one_of(lib_texts, loadable_lib_texts())
+
+
+@FUZZ
+@given(dfg_texts)
+def test_parse_dfg_parses_or_raises_dfg_error(text):
+    try:
+        g = parse_dfg(text)
+    except DfgError:
+        return
+    assert isinstance(g.name, str)
+
+
+@FUZZ
+@given(lib_texts)
+def test_load_library_loads_or_raises_library_error(text):
+    try:
+        lib = load_resource_library(text)
+    except LibraryError:
+        return
+    assert lib.op_types()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "smoke.dfg").write_text(support.SMOKE_DFG, encoding="utf-8")
+    return path
+
+
+@FUZZ
+@given(
+    cli_lib_texts,
+    st.sampled_from([
+        ["pareto", "--mode", "single-vdd"],
+        ["pareto", "--mode", "multi-vdd"],
+        ["pareto", "--mode", "fgdvs"],
+        ["compare"],
+        ["oracle"],
+        ["budget", "--algorithm", "bb-first", "--power-budget", "40"],
+        ["budget", "--algorithm", "list", "--area-budget", "mul=1"],
+    ]),
+    st.integers(0, 2),
+)
+@example(  # power sums too large for a float
+    "type mul\nlevel vdd=1.0 cycles=1 pdyn=1e308 plk=0 psw=0\n"
+    "type add\nlevel vdd=1.0 cycles=1 pdyn=0 plk=0 psw=0\n",
+    ["pareto", "--mode", "single-vdd"],
+    0,
+)
+def test_cli_on_fuzzed_library_exits_with_a_documented_code(fuzz_dir, text, command, k):
+    lib = fuzz_dir / "fuzz.lib"
+    lib.write_text(text, encoding="utf-8")
+    dfg = fuzz_dir / "smoke.dfg"
+    argv = [command[0], "--dfg", str(dfg), "--lib", str(lib), "--k", str(k), *command[1:]]
+    assert main(argv) in (0, 2, 3, 4)

@@ -138,6 +138,21 @@ def test_budget_rejects_non_finite_power_cap(cap):
         Budget(power_cap=cap)
 
 
+@pytest.mark.parametrize("mode", list(ArchMode))
+@pytest.mark.parametrize("field", ["pdyn", "plk"])
+def test_schedule_cost_rejects_power_overflow(mode, field):
+    # Three 1e308 terms overflow their sum; outside FGDVS the leakage term
+    # 1e308 * 3 steps overflows by itself.
+    fields = {"vdd": "1.0", "cycles": "1", "pdyn": "5", "plk": "0.5", "psw": "1"}
+    fields[field] = "1e308"
+    lib = load_resource_library(
+        "type mul\nlevel " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n"
+    )
+    sched = {1: (1, 1), 2: (2, 1), 3: (3, 1)}  # three ops on one unit
+    with pytest.raises(LibraryError, match="too large"):
+        schedule_cost(TRI, sched, lib, mode, 3)
+
+
 # ---------------------------------------------------------------------------
 # area
 
