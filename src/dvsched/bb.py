@@ -7,8 +7,9 @@ already violates the budget or is dominated-or-equalled by a completed
 solution on the archive.  The bound is the running prefix cost plus what
 the unplaced suffix must still pay: each remaining op's cheapest energy
 among levels that fit the op's window, and one unit (with its always-on
-leakage, outside FGDVS) for each op type that is still to come but has
-none allocated yet.
+leakage, outside FGDVS) for each op type whose first node is still to
+come.  Every bound term that depends only on the position is tabled once
+before the walk.
 
 The prefix power counts dynamic and leakage only.  The FGDVS switching
 overhead of a completed schedule is *not* monotone in its prefixes (a
@@ -20,6 +21,7 @@ before archiving.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -88,85 +90,85 @@ def _run(
 
     type_names = sorted({g.nodes[v] for v in order})
     type_idx = {op: i for i, op in enumerate(type_names)}
-    max_levels = max((len(lib.levels(op)) for op in type_names), default=1)
 
     pos = {v: i for i, v in enumerate(order)}
     parents = [tuple(pos[u] for u in g.preds[v]) for v in order]
     asap_a = [timing.asap[v] for v in order]
     alap_a = [timing.alap[v] for v in order]
 
-    # Per node: (duration, key, dyn+leak prefix energy) fastest-first, for
+    # Unit kinds: one per (type, level) under MULTI_VDD, one per type
+    # otherwise; single-vdd units run at the fastest level only.  Each kind
+    # has its own usage histogram and, outside FGDVS, pays always-on
+    # leakage for the whole horizon per allocated unit.  forced_leak is the
+    # least a type's first unit can leak.
+    n_usable = 1 if mode is ArchMode.SINGLE_VDD else None
+    usable = {op: lib.levels(op)[:n_usable] for op in type_names}
+    kind_of: dict[tuple[str, int], int] = {}
+    kind_type: list[int] = []
+    unit_leak: list[float] = []
+    forced_leak: list[float] = []
+    for ti, op in enumerate(type_names):
+        first_kind = len(kind_type)
+        for li, lvl in enumerate(usable[op]):
+            if multi or li == 0:
+                kind_type.append(ti)
+                unit_leak.append(0.0 if fgdvs else lvl.p_lk * bound)
+            kind_of[op, li] = len(kind_type) - 1
+        forced_leak.append(min(unit_leak[first_kind:]))
+
+    # Per node: (duration, kind, dyn+leak prefix energy) fastest-first, for
     # the levels whose duration fits the node's window; no placement can
     # use a longer one.  The prefix energy folds per-op leakage in under
     # FGDVS; always-on leakage for the other modes is tracked per allocated
-    # unit below.
+    # unit.
     options: list[tuple[tuple[int, int, float], ...]] = []
     for i, v in enumerate(order):
         op = g.nodes[v]
-        ti = type_idx[op]
-        levels = lib.levels(op)
-        if mode is ArchMode.SINGLE_VDD:
-            levels = levels[:1]
         window = alap_a[i] - asap_a[i] + 1
         opts = []
-        for li, lvl in enumerate(levels):
+        for li, lvl in enumerate(usable[op]):
             if lvl.cycles > window:
                 break  # cycles ascend; no later level fits either
-            key = ti * max_levels + li if multi else ti
             energy = lvl.p_dyn * lvl.cycles
             if fgdvs:
                 energy += lvl.p_lk * lvl.cycles
-            opts.append((lvl.cycles, key, energy))
+            opts.append((lvl.cycles, kind_of[op, li], energy))
         options.append(tuple(opts))
-    if not all(options):
-        # Some node's window is shorter than its fastest level: no schedule
-        # exists, so the search is complete before it starts.
-        return SearchReport(ParetoSet(), None, 0, 0, 0, completed=True, elapsed=0.0)
-
-    n_keys = len(type_names) * max_levels if multi else len(type_names)
-    key_type = [k // max_levels if multi else k for k in range(n_keys)]
-    # Always-on leakage per extra allocated unit, by key (non-FGDVS modes).
-    unit_leak = [0.0] * n_keys
-    if not fgdvs:
-        for op in type_names:
-            ti = type_idx[op]
-            if multi:
-                for li, lvl in enumerate(lib.levels(op)):
-                    unit_leak[ti * max_levels + li] = lvl.p_lk * bound
-            else:
-                unit_leak[ti] = lib.fastest(op).p_lk * bound
 
     caps: list[int] | None = None
     if cfg.budget.area_caps is not None:
         caps = [cfg.budget.area_caps.get(op, n) for op in type_names]
+    if not all(options) or (caps is not None and 0 in caps):
+        # Some node's window is shorter than its fastest level, or some type
+        # in the graph may have no unit: no schedule exists, so the search
+        # is complete before it starts.
+        return SearchReport(ParetoSet(), None, 0, 0, 0, completed=True, elapsed=0.0)
     power_cap = cfg.budget.power_cap
 
     # Suffix lower bounds: every node still unplaced at position i will pay
-    # at least its cheapest per-op energy, and every op type that appears
-    # from position i on but has no unit yet will allocate at least one
-    # (costing its always-on leakage for the whole horizon outside FGDVS).
+    # at least its cheapest per-op energy, and every type whose first node
+    # sits at position i or later has no unit yet (each placed node holds a
+    # unit for at least one step) and will allocate at least one.
+    # unstarted[i] holds those types' forced leakage, in type order.
     suffix_energy = [0.0] * (n + 1)
-    pending_mask = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_energy[i] = suffix_energy[i + 1] + min(e for _d, _k, e in options[i])
-        pending_mask[i] = pending_mask[i + 1] | (1 << type_idx[g.nodes[order[i]]])
-    forced_leak = [0.0] * len(type_names)
-    if not fgdvs:
-        for op in type_names:
-            levels = lib.levels(op)
-            if mode is ArchMode.SINGLE_VDD:
-                levels = levels[:1]
-            forced_leak[type_idx[op]] = min(lvl.p_lk for lvl in levels) * bound
-    n_types = len(type_names)
+    first_pos: dict[str, int] = {}
+    for i, v in enumerate(order):
+        first_pos.setdefault(g.nodes[v], i)
+    unstarted = [
+        tuple(forced_leak[tj] for tj, op in enumerate(type_names) if first_pos[op] >= i)
+        for i in range(n + 1)
+    ]
 
-    hist = [[0] * (bound + 2) for _ in range(n_keys)]
-    cur_max = [0] * n_keys
+    hist = [[0] * (bound + 2) for _ in kind_type]
+    cur_max = [0] * len(kind_type)
     type_area = [0] * len(type_names)
     starts = [0] * n
     durs = [0] * n
 
     front = ParetoSet()
-    archive_pts: list[tuple[int, float]] = []
+    archive_pts = front.points  # (area, power) per member, kept in place by insert
     expanded = budget_prunes = dominance_prunes = 0
     cur_area, cur_power = 0, 0.0  # the placed prefix's area and dyn+leak power
     first: FirstSolution | None = None
@@ -191,11 +193,7 @@ def _run(
             first = (cost, sched, time.perf_counter() - t0)
             if stop_after_first:
                 raise _StopSearch
-        if front.insert(cost, sched):
-            archive_pts.clear()
-            archive_pts.extend(
-                (e.cost.area_total, e.cost.power) for e in front.entries
-            )
+        front.insert(cost, sched)
 
     def rec(i: int) -> None:
         nonlocal expanded, budget_prunes, dominance_prunes, cur_area, cur_power
@@ -212,12 +210,12 @@ def _run(
         latest = alap_a[i]
         for t in range(earliest, latest + 1):
             room = latest - t + 1
-            for dur, key, energy in options[i]:
+            for dur, kind, energy in options[i]:
                 if dur > room:
                     break  # durations ascend; nothing later fits either
                 # Place.
-                row = hist[key]
-                old_max = cur_max[key]
+                row = hist[kind]
+                old_max = cur_max[kind]
                 peak = old_max
                 for step in range(t, t + dur):
                     row[step] += 1
@@ -225,32 +223,27 @@ def _run(
                         peak = row[step]
                 old_area = cur_area
                 old_power = cur_power
-                ti = key_type[key]
+                ti = kind_type[kind]
                 old_type_area = type_area[ti]
                 if peak > old_max:
                     grew = peak - old_max
-                    cur_max[key] = peak
+                    cur_max[kind] = peak
                     type_area[ti] += grew
                     cur_area = old_area + grew
-                    cur_power = old_power + energy + unit_leak[key] * grew
+                    cur_power = old_power + energy + unit_leak[kind] * grew
                 else:
                     cur_power = old_power + energy
                 starts[i] = t
                 durs[i] = dur
                 expanded += 1
                 # Prune or descend: bound what any completion must cost.
-                pending = pending_mask[i + 1]
-                lb_area = cur_area
+                leaks = unstarted[i + 1]
+                lb_area = cur_area + len(leaks)
                 lb_power = cur_power + suffix_energy[i + 1]
-                forced_infeasible = False
-                for tj in range(n_types):
-                    if pending >> tj & 1 and type_area[tj] == 0:
-                        lb_area += 1
-                        lb_power += forced_leak[tj]
-                        if caps is not None and caps[tj] < 1:
-                            forced_infeasible = True
+                for leak in leaks:
+                    lb_power += leak
                 pruned = False
-                if caps is not None and (type_area[ti] > caps[ti] or forced_infeasible):
+                if caps is not None and type_area[ti] > caps[ti]:
                     budget_prunes += 1
                     pruned = True
                 elif power_cap is not None and lb_power > power_cap + POWER_EPS:
@@ -268,7 +261,7 @@ def _run(
                 # Undo.
                 for step in range(t, t + dur):
                     row[step] -= 1
-                cur_max[key] = old_max
+                cur_max[kind] = old_max
                 type_area[ti] = old_type_area
                 cur_area = old_area
                 cur_power = old_power
@@ -287,8 +280,11 @@ def _run(
                 cost = schedule_cost(g, seed, lib, mode, bound)
                 if cfg.budget.allows(cost.area_by_type, cost.power):
                     front.insert(cost, seed)
-        archive_pts.extend((e.cost.area_total, e.cost.power) for e in front.entries)
 
+    # The walk recurses once per position; lend it that depth on top of the
+    # caller's allowance so deep graphs (long chains) complete.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + n + 100)
     completed = True
     try:
         rec(0)
@@ -296,6 +292,11 @@ def _run(
         completed = False
     except _StopSearch:
         pass
+    finally:
+        sys.setrecursionlimit(limit)
+        # rec's closure holds rec itself; emptying that cell frees the search
+        # state when _run returns instead of at the next cyclic collection.
+        del rec
     elapsed = time.perf_counter() - t0
     return SearchReport(
         front=front,

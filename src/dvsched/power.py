@@ -414,18 +414,19 @@ class ParetoSet:
     ``objectives`` names the two or more CostTuple attributes to minimise:
     ``(area_total, power)`` by default, ``(latency, area_total, power)`` for
     a front merged across latency bounds.  At most one member per distinct
-    point; the first schedule found for a point is kept.
+    point; the first schedule found for a point is kept.  ``points`` holds
+    each entry's objective values in entry order, one list kept in place.
     """
 
     def __init__(self, objectives: tuple[str, ...] = ("area_total", "power")):
         self._point = attrgetter(*objectives)
         self.entries: list[ParetoEntry] = []
-        self._points: list[tuple] = []  # each entry's objective values
+        self.points: list[tuple] = []
 
     def covers(self, cost: CostTuple) -> bool:
         """True iff some member is no worse than ``cost`` in every objective."""
         point = self._point(cost)
-        return any(_no_worse(p, point) for p in self._points)
+        return any(_no_worse(p, point) for p in self.points)
 
     def insert(self, cost: CostTuple, schedule: Schedule) -> bool:
         """Add a candidate; returns True iff it joined the front."""
@@ -433,11 +434,11 @@ class ParetoSet:
             return False
         # No member covers cost, so cost covering a member means dominating it.
         point = self._point(cost)
-        kept = [i for i, p in enumerate(self._points) if not _no_worse(point, p)]
+        kept = [i for i, p in enumerate(self.points) if not _no_worse(point, p)]
         self.entries = [self.entries[i] for i in kept]
-        self._points = [self._points[i] for i in kept]
+        self.points[:] = [self.points[i] for i in kept]
         self.entries.append(ParetoEntry(cost, dict(schedule)))
-        self._points.append(point)
+        self.points.append(point)
         return True
 
     def __len__(self) -> int:
@@ -450,4 +451,4 @@ class ParetoSet:
         return sorted(self.entries, key=lambda e: self._point(e.cost))
 
     def cost_points(self) -> list[tuple]:
-        return sorted(self._points)
+        return sorted(self.points)

@@ -196,7 +196,7 @@ def test_single_vdd_front_uses_only_fastest_durations(seed):
             assert d == lib.fastest(g.nodes[v]).cycles
 
 
-def test_window_shorter_than_fastest_level_gives_empty_complete_report(diffeq):
+def test_window_shorter_than_fastest_level_gives_empty_complete_report(diffeq, default_lib):
     # At k=0 diffeq's adds 6 and 7 have 1-step windows and the fastest add
     # level takes 2 cycles, so no schedule exists.
     lib = load_resource_library(support.SLOW_ADD_LIB)
@@ -206,24 +206,58 @@ def test_window_shorter_than_fastest_level_gives_empty_complete_report(diffeq):
         assert rep.completed and len(rep.front) == 0 and rep.first_solution is None
         rep = bb_first(diffeq, t, lib, SearchConfig(mode=mode, budget=Budget(power_cap=1e6)))
         assert rep.completed and rep.first_solution is None
+    # Nor does one when an area cap of 0 leaves a type of the graph without
+    # a unit; the search knows before it expands anything.  A 0 cap on a
+    # type the graph does not use constrains nothing.
+    t = compute_timing(SMOKE, 1)
+    for mode in MODES:
+        for caps in ({"mul": 0}, {"add": 0, "mul": 5, "comp": 1}):
+            cfg = SearchConfig(mode=mode, budget=Budget(area_caps=caps), emit_first_solution=True)
+            assert len(oracle_front(SMOKE, t, default_lib, mode, budget=cfg.budget)) == 0
+            for search in (bb_pareto, bb_first):
+                rep = search(SMOKE, t, default_lib, cfg)
+                assert rep.completed and len(rep.front) == 0 and rep.first_solution is None
+                assert (rep.nodes_expanded, rep.budget_prunes, rep.dominance_prunes) == (0, 0, 0)
+        free = bb_pareto(SMOKE, t, default_lib, SearchConfig(mode=mode))
+        capped = SearchConfig(mode=mode, budget=Budget(area_caps={"comp": 0}))
+        rep = bb_pareto(SMOKE, t, default_lib, capped)
+        assert rep.completed and len(rep.front) > 0
+        assert rep.front.cost_points() == free.front.cost_points()
+
+
+def pinned(name, k, mode, expanded, budget_prunes, dominance_prunes, budget=Budget(), first=None):
+    return pytest.param(
+        name, k, mode, budget, (expanded, budget_prunes, dominance_prunes), first,
+        id=f"{name}-{k}-{mode}-{expanded}",
+    )
 
 
 @pytest.mark.parametrize(
-    "name, k, mode, expanded",
+    "name, k, mode, budget, counters, first_counters",
     [
-        ("fir", 0, ArchMode.MULTI_VDD, 305),
-        ("ewf", 0, ArchMode.FGDVS, 5_600),
-        ("volterra", 0, ArchMode.MULTI_VDD, 117_426),
-        ("diffeq", 1, ArchMode.FGDVS, 8_558),
+        pinned("fir", 0, ArchMode.MULTI_VDD, 305, 0, 161),
+        pinned("ewf", 0, ArchMode.FGDVS, 5_600, 0, 1_393),
+        pinned("volterra", 0, ArchMode.MULTI_VDD, 117_426, 0, 92_094),
+        pinned("diffeq", 1, ArchMode.FGDVS, 8_558, 0, 5_387),
+        pinned("diffeq", 2, ArchMode.FGDVS, 23_262, 12_361, 4_674,
+               Budget(area_caps={"mul": 2, "add": 1, "comp": 1})),
+        pinned("fir", 1, ArchMode.MULTI_VDD, 19_466, 7_362, 1_264, Budget(power_cap=230),
+               first=(14_988, 7_367, 0)),
     ],
 )
-def test_expansion_counts_pinned(default_lib, name, k, mode, expanded):
-    # Expansion counts are deterministic; a change here means the tree or
-    # the bound changed.
+def test_expansion_counts_pinned(default_lib, name, k, mode, budget, counters, first_counters):
+    # Search counters are deterministic; a change here means the tree or
+    # the bound changed.  (expanded, budget prunes, dominance prunes)
     g = load_bench(name)
-    rep = bb_pareto(g, compute_timing(g, k), default_lib, SearchConfig(mode=mode))
+    t = compute_timing(g, k)
+    cfg = SearchConfig(mode=mode, budget=budget)
+    rep = bb_pareto(g, t, default_lib, cfg)
     assert rep.completed
-    assert rep.nodes_expanded == expanded
+    assert (rep.nodes_expanded, rep.budget_prunes, rep.dominance_prunes) == counters
+    if first_counters is not None:
+        rep = bb_first(g, t, default_lib, cfg)
+        assert rep.completed and rep.first_solution is not None
+        assert (rep.nodes_expanded, rep.budget_prunes, rep.dominance_prunes) == first_counters
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,37 @@ def test_budget_bb_first_reports_the_search_cost(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("diffeq: (6, 128.750000) ")
 
 
+def chain_dfg(n: int) -> str:
+    lines = [f"name chain{n}"] + [f"node {i} add" for i in range(1, n + 1)]
+    lines += [f"edge {i} -> {i + 1}" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_budget_bb_first_on_a_deep_chain(tmp_path, capsys):
+    # The search recurses once per node; 1500 levels exceed Python's
+    # default recursion limit.
+    side = tmp_path / "chain.json"
+    rc = main([
+        "budget", "--dfg", dfg_file(tmp_path, chain_dfg(1500)), "--lib", LIB,
+        "--algorithm", "bb-first", "--area-budget", "add=1", "--json", str(side),
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("chain1500: (1, ")
+    data = json.loads(side.read_text())
+    assert data["feasible"] is True and data["area"] == 1
+
+
+def test_pareto_emit_first_on_a_deep_chain(tmp_path, capsys):
+    side = tmp_path / "chain.json"
+    rc = main([
+        "pareto", "--dfg", dfg_file(tmp_path, chain_dfg(1500)), "--lib", LIB,
+        "--emit-first", "--json", str(side),
+    ])
+    assert rc == 0
+    assert "front=1" in capsys.readouterr().out
+    assert json.loads(side.read_text())["first_solution"]["area"] == 1
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

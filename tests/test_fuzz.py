@@ -1,7 +1,8 @@
 """Fuzz tests: no input text ends in anything but a documented outcome.
 
 Each parser either returns a value or raises its own error type, and the
-CLI run on a fuzzed library exits with one of its documented codes.
+CLI run on a fuzzed library or area budget exits with one of its
+documented codes.
 """
 from __future__ import annotations
 
@@ -136,4 +137,36 @@ def test_cli_on_fuzzed_library_exits_with_a_documented_code(fuzz_dir, text, comm
     lib.write_text(text, encoding="utf-8")
     dfg = fuzz_dir / "smoke.dfg"
     argv = [command[0], "--dfg", str(dfg), "--lib", str(lib), "--k", str(k), *command[1:]]
+    assert main(argv) in (0, 2, 3, 4)
+
+
+# Area budgets over the default library's types: comp is not in the smoke
+# graph, repeats and 0 caps are drawn often, and the counts include near
+# misses of an integer.
+area_budgets = st.lists(
+    st.tuples(
+        st.sampled_from(["mul", "add", "comp"]),
+        st.one_of(st.integers(0, 3).map(str), st.sampled_from(["-1", "1.5", "", "nan", " 2"])),
+    ),
+    max_size=4,
+).map(lambda caps: ",".join(f"{op}={c}" for op, c in caps))
+
+
+@FUZZ
+@given(
+    area_budgets,
+    st.sampled_from(["bb-first", "bb", "list"]),
+    st.sampled_from(["single-vdd", "multi-vdd", "fgdvs"]),
+    st.integers(0, 2),
+)
+@example("mul=0", "bb", "multi-vdd", 1)
+@example("comp=0", "bb-first", "fgdvs", 0)
+@example("add=1,add=1", "bb", "single-vdd", 0)
+def test_cli_on_fuzzed_area_budget_exits_with_a_documented_code(
+    fuzz_dir, default_lib_path, caps, algorithm, mode, k
+):
+    argv = [
+        "budget", "--dfg", str(fuzz_dir / "smoke.dfg"), "--lib", str(default_lib_path),
+        "--k", str(k), "--mode", mode, "--algorithm", algorithm, "--area-budget", caps,
+    ]
     assert main(argv) in (0, 2, 3, 4)

@@ -469,6 +469,18 @@ def test_pareto_insert_sweeps_dominated():
     assert s.cost_points() == [(3, 90.0), (5, 80.0)]
 
 
+def test_pareto_points_is_one_list_kept_in_place():
+    s = ParetoSet()
+    points = s.points
+    s.insert(ct(4, 100.0), {1: (1, 1)})
+    s.insert(ct(5, 80.0), {1: (1, 2)})
+    s.insert(ct(6, 70.0), {1: (1, 3)})
+    assert s.insert(ct(3, 75.0), {1: (1, 4)})  # evicts (4, 100) and (5, 80)
+    assert s.points is points
+    assert points == [(6, 70.0), (3, 75.0)]
+    assert points == [(e.cost.area_total, e.cost.power) for e in s.entries]
+
+
 def test_pareto_insert_rejects_duplicate_cost():
     s = ParetoSet()
     first = {1: (1, 1)}
