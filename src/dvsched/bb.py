@@ -11,6 +11,17 @@ leakage, outside FGDVS) for each op type whose first node is still to
 come.  Every bound term that depends only on the position is tabled once
 before the walk.
 
+Under single-vdd and multi-vdd a prefix is also cut when an earlier
+prefix of the same length reached the same state at no higher power (a
+Kohler-Steiglitz dominance relation): the same area, the same end times
+for the placed nodes that still constrain unplaced ones, and the same unit
+counts and usage histograms wherever unplaced nodes can still add to
+them.  Equal states have the same completions at the same added cost, so
+the cut changes no result.  States are packed into bytes and held in two
+generations of STATE_GENERATION entries each.  FGDVS is left out: its
+switching charge depends on how every op binds, which the state does not
+capture.
+
 The prefix power counts dynamic and leakage only.  The FGDVS switching
 overhead of a completed schedule is *not* monotone in its prefixes (a
 later op can raise the unit count and let an earlier op bind switch-free),
@@ -24,6 +35,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from struct import Struct, calcsize
 
 from .dfg import Dfg, Schedule, TimingInfo, topological_order
 from .listsched import Priority, list_schedule
@@ -54,6 +66,12 @@ class SearchConfig:
 
 FirstSolution = tuple[CostTuple, Schedule, float]
 
+# Entries per generation of the state-cut table.  When the current
+# generation fills up it replaces the older one, so at most twice this many
+# states are held; which states are kept changes the work, never a result.
+STATE_GENERATION = 2048
+_NEVER = float("inf")  # the power of a state not yet seen
+
 
 @dataclass
 class SearchReport:
@@ -62,6 +80,7 @@ class SearchReport:
     nodes_expanded: int
     budget_prunes: int
     dominance_prunes: int
+    state_prunes: int
     completed: bool
     elapsed: float
 
@@ -142,7 +161,7 @@ def _run(
         # Some node's window is shorter than its fastest level, or some type
         # in the graph may have no unit: no schedule exists, so the search
         # is complete before it starts.
-        return SearchReport(ParetoSet(), None, 0, 0, 0, completed=True, elapsed=0.0)
+        return SearchReport(ParetoSet(), None, 0, 0, 0, 0, completed=True, elapsed=0.0)
     power_cap = cfg.budget.power_cap
 
     # Suffix lower bounds: every node still unplaced at position i will pay
@@ -161,7 +180,59 @@ def _run(
         for i in range(n + 1)
     ]
 
+    # State cut (single-vdd and multi-vdd): once positions 0..p-1 are
+    # placed, what any completion adds to area and power, and which
+    # completions the area caps allow, depend only on the prefix's state.
+    # A prefix whose state an earlier prefix reached at no higher power is
+    # cut: each of its leaves costs no less than the same completion of the
+    # earlier prefix, already offered to the front.  The state is the
+    # position, the area, and what these tables pick out per position p:
+    #   frontier[p]: each placed node with an unplaced child, paired with
+    #     the least asap among its children (an end at or below that
+    #     constrains none of them);
+    #   live_kinds[p]: the kinds of every type with unplaced nodes, whose
+    #     unit counts the walk still grows and the caps still check;
+    #   windows[p]: (kind, lo, hi) for each kind some unplaced node can use,
+    #     where hist[kind][lo:hi] spans every step such a node can occupy.
+    # A key's length is fixed by p; packing[p] packs it into bytes with the
+    # narrowest code that holds max(n, bound + 1), the largest value in it.
+    state_cut = cfg.prune_dominance and not fgdvs
+    frontier: list[tuple[tuple[int, int], ...]] = []
+    live_kinds: list[tuple[int, ...]] = [()] * (n + 1)
+    windows: list[tuple[tuple[int, int, int], ...]] = [()] * (n + 1)
+    packing: list[Struct] = []
+    if state_cut:
+        last_child = list(range(n))
+        child_asap = [bound + 1] * n
+        for i in range(n):
+            for u in parents[i]:
+                last_child[u] = i  # positions ascend: the last write is the last child
+                child_asap[u] = min(child_asap[u], asap_a[i])
+        open_nodes: list[int] = []
+        for p in range(n + 1):
+            if p:
+                open_nodes.append(p - 1)
+            open_nodes = [u for u in open_nodes if last_child[u] >= p]
+            frontier.append(tuple((u, child_asap[u]) for u in open_nodes))
+        win_lo = [bound + 1] * len(kind_type)
+        win_hi = [0] * len(kind_type)
+        live = [False] * len(type_names)
+        for p in range(n - 1, -1, -1):
+            live[type_idx[g.nodes[order[p]]]] = True
+            for _d, kind, _e in options[p]:
+                win_lo[kind] = min(win_lo[kind], asap_a[p])
+                win_hi[kind] = max(win_hi[kind], alap_a[p] + 1)
+            live_kinds[p] = tuple(k for k, ti in enumerate(kind_type) if live[ti])
+            windows[p] = tuple(
+                (k, win_lo[k], win_hi[k]) for k in live_kinds[p] if win_lo[k] < win_hi[k]
+            )
+        code = next(c for c in "BHILQ" if max(n, bound + 1) < 1 << 8 * calcsize(c))
+        for p in range(n + 1):
+            size = 2 + len(frontier[p]) + len(live_kinds[p])
+            size += sum(b - a for _k, a, b in windows[p])
+            packing.append(Struct(f"{size}{code}"))
     hist = [[0] * (bound + 2) for _ in kind_type]
+    generation = STATE_GENERATION
     cur_max = [0] * len(kind_type)
     type_area = [0] * len(type_names)
     starts = [0] * n
@@ -169,7 +240,9 @@ def _run(
 
     front = ParetoSet()
     archive_pts = front.points  # (area, power) per member, kept in place by insert
-    expanded = budget_prunes = dominance_prunes = 0
+    expanded = budget_prunes = dominance_prunes = state_prunes = 0
+    states: dict[bytes, float] = {}  # state key -> least cur_power seen with it
+    older: dict[bytes, float] = {}  # the previous generation of states
     cur_area, cur_power = 0, 0.0  # the placed prefix's area and dyn+leak power
     first: FirstSolution | None = None
     prune_dom = cfg.prune_dominance
@@ -195,8 +268,35 @@ def _run(
                 raise _StopSearch
         front.insert(cost, sched)
 
+    def seen_state(p: int) -> bool:
+        """Whether an earlier prefix reached this prefix's state (positions
+        0..p-1 placed) at no higher power.  Either way the state goes into
+        the newer generation with the lower of the two powers."""
+        nonlocal states, older
+        vals = [p, cur_area]
+        for u, floor in frontier[p]:
+            end = starts[u] + durs[u]
+            vals.append(end if end > floor else floor)
+        vals.extend(map(cur_max.__getitem__, live_kinds[p]))
+        for k, lo, hi in windows[p]:
+            vals += hist[k][lo:hi]
+        key = packing[p].pack(*vals)
+        seen = states.get(key)
+        if seen is None:
+            seen = older.get(key, _NEVER)
+            if len(states) >= generation:
+                older, states = states, {}
+            states[key] = seen if seen <= cur_power else cur_power
+        elif seen > cur_power:
+            states[key] = cur_power
+        # Exact compare: every completion of this prefix costs no less than
+        # the same completion of the earlier one, whose leaves were all
+        # offered to the front.
+        return seen <= cur_power
+
     def rec(i: int) -> None:
-        nonlocal expanded, budget_prunes, dominance_prunes, cur_area, cur_power
+        nonlocal expanded, budget_prunes, dominance_prunes, state_prunes
+        nonlocal cur_area, cur_power
         if deadline is not None and time.perf_counter() > deadline:
             raise _TimeUp
         if i == n:
@@ -256,6 +356,9 @@ def _run(
                             dominance_prunes += 1
                             pruned = True
                             break
+                    if not pruned and state_cut and seen_state(i + 1):
+                        state_prunes += 1
+                        pruned = True
                 if not pruned:
                     rec(i + 1)
                 # Undo.
@@ -304,6 +407,7 @@ def _run(
         nodes_expanded=expanded,
         budget_prunes=budget_prunes,
         dominance_prunes=dominance_prunes,
+        state_prunes=state_prunes,
         completed=completed,
         elapsed=elapsed,
     )

@@ -208,6 +208,7 @@ def _report_json(report: SearchReport) -> dict:
         "nodes_expanded": report.nodes_expanded,
         "budget_prunes": report.budget_prunes,
         "dominance_prunes": report.dominance_prunes,
+        "state_prunes": report.state_prunes,
         "front_size": len(report.front),
         "front": _front_json(report.front),
     }

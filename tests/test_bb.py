@@ -36,6 +36,11 @@ def points_equal(got: list[tuple[int, float]], want: list[tuple[int, float]]) ->
     )
 
 
+def counts(rep) -> tuple[int, int, int, int]:
+    """(expanded, budget prunes, dominance prunes, state prunes)"""
+    return (rep.nodes_expanded, rep.budget_prunes, rep.dominance_prunes, rep.state_prunes)
+
+
 def ct(area: int, power: float, by_type: dict[str, int] | None = None) -> CostTuple:
     return CostTuple(
         area_total=area,
@@ -217,7 +222,7 @@ def test_window_shorter_than_fastest_level_gives_empty_complete_report(diffeq, d
             for search in (bb_pareto, bb_first):
                 rep = search(SMOKE, t, default_lib, cfg)
                 assert rep.completed and len(rep.front) == 0 and rep.first_solution is None
-                assert (rep.nodes_expanded, rep.budget_prunes, rep.dominance_prunes) == (0, 0, 0)
+                assert counts(rep) == (0, 0, 0, 0)
         free = bb_pareto(SMOKE, t, default_lib, SearchConfig(mode=mode))
         capped = SearchConfig(mode=mode, budget=Budget(area_caps={"comp": 0}))
         rep = bb_pareto(SMOKE, t, default_lib, capped)
@@ -225,39 +230,103 @@ def test_window_shorter_than_fastest_level_gives_empty_complete_report(diffeq, d
         assert rep.front.cost_points() == free.front.cost_points()
 
 
-def pinned(name, k, mode, expanded, budget_prunes, dominance_prunes, budget=Budget(), first=None):
-    return pytest.param(
-        name, k, mode, budget, (expanded, budget_prunes, dominance_prunes), first,
-        id=f"{name}-{k}-{mode}-{expanded}",
-    )
+def pinned(test_id, name, k, mode, counters, budget=Budget(), first=None):
+    # Explicit ids: each embeds the expansion count first pinned for it.
+    return pytest.param(name, k, mode, budget, counters, first, id=test_id)
 
 
 @pytest.mark.parametrize(
     "name, k, mode, budget, counters, first_counters",
     [
-        pinned("fir", 0, ArchMode.MULTI_VDD, 305, 0, 161),
-        pinned("ewf", 0, ArchMode.FGDVS, 5_600, 0, 1_393),
-        pinned("volterra", 0, ArchMode.MULTI_VDD, 117_426, 0, 92_094),
-        pinned("diffeq", 1, ArchMode.FGDVS, 8_558, 0, 5_387),
-        pinned("diffeq", 2, ArchMode.FGDVS, 23_262, 12_361, 4_674,
-               Budget(area_caps={"mul": 2, "add": 1, "comp": 1})),
-        pinned("fir", 1, ArchMode.MULTI_VDD, 19_466, 7_362, 1_264, Budget(power_cap=230),
-               first=(14_988, 7_367, 0)),
+        pinned("fir-0-ArchMode.MULTI_VDD-305", "fir", 0, ArchMode.MULTI_VDD,
+               (172, 0, 67, 12)),
+        pinned("ewf-0-ArchMode.FGDVS-5600", "ewf", 0, ArchMode.FGDVS,
+               (5_600, 0, 1_393, 0)),
+        pinned("volterra-0-ArchMode.MULTI_VDD-117426", "volterra", 0, ArchMode.MULTI_VDD,
+               (45_286, 0, 31_712, 1_837)),
+        pinned("diffeq-1-ArchMode.FGDVS-8558", "diffeq", 1, ArchMode.FGDVS,
+               (8_558, 0, 5_387, 0)),
+        pinned("diffeq-2-ArchMode.FGDVS-23262", "diffeq", 2, ArchMode.FGDVS,
+               (23_262, 12_361, 4_674, 0), Budget(area_caps={"mul": 2, "add": 1, "comp": 1})),
+        pinned("fir-1-ArchMode.MULTI_VDD-19466", "fir", 1, ArchMode.MULTI_VDD,
+               (3_824, 797, 64, 1_500), Budget(power_cap=230), first=(3_390, 855, 0, 1_302)),
     ],
 )
 def test_expansion_counts_pinned(default_lib, name, k, mode, budget, counters, first_counters):
     # Search counters are deterministic; a change here means the tree or
-    # the bound changed.  (expanded, budget prunes, dominance prunes)
+    # the bound changed.
     g = load_bench(name)
     t = compute_timing(g, k)
     cfg = SearchConfig(mode=mode, budget=budget)
     rep = bb_pareto(g, t, default_lib, cfg)
     assert rep.completed
-    assert (rep.nodes_expanded, rep.budget_prunes, rep.dominance_prunes) == counters
+    assert counts(rep) == counters
     if first_counters is not None:
         rep = bb_first(g, t, default_lib, cfg)
         assert rep.completed and rep.first_solution is not None
-        assert (rep.nodes_expanded, rep.budget_prunes, rep.dominance_prunes) == first_counters
+        assert counts(rep) == first_counters
+
+
+# ---------------------------------------------------------------------------
+# state cut
+
+
+def _answers(g, t, lib, cfg) -> tuple:
+    """What a search answers: the front with its kept schedules, the first
+    solution bb_pareto reports, and bb_first's hit (times left out)."""
+    rep = bb_pareto(g, t, lib, cfg)
+    emit = bb_pareto(g, t, lib, replace(cfg, emit_first_solution=True)).first_solution
+    hit = bb_first(g, t, lib, cfg).first_solution
+    return (
+        rep.completed,
+        [(e.cost, e.schedule) for e in rep.front.sorted_entries()],
+        emit and emit[:2],
+        hit and hit[:2],
+    ), rep.state_prunes
+
+
+@pytest.mark.parametrize("generation", [1, 7])
+def test_state_table_eviction_changes_no_answer(monkeypatch, generation):
+    # The cut is exact whichever states the table still holds: a table of
+    # 1 or 7 entries per generation, which evicts almost everything, gives
+    # the same answers as the default size.
+    rng = random.Random(13)
+    cases = []
+    for j in range(24):
+        text = support.gapped_library_text if j % 2 else support.random_library_text
+        g, lib = support.random_instance(rng, library_text=text)
+        for k in (0, 1, 2):
+            t = compute_timing(g, k)
+            for mode in (ArchMode.SINGLE_VDD, ArchMode.MULTI_VDD):
+                budgets = [Budget()]
+                free = bb_pareto(g, t, lib, SearchConfig(mode=mode)).front
+                if len(free):
+                    ref = rng.choice(free.entries).cost
+                    budgets += [
+                        Budget(area_caps=dict(ref.area_by_type)),
+                        Budget(power_cap=ref.power * rng.uniform(0.9, 1.1)),
+                    ]
+                cases += [(g, t, lib, SearchConfig(mode=mode, budget=b)) for b in budgets]
+    want = [_answers(*case) for case in cases]
+    monkeypatch.setattr("dvsched.bb.STATE_GENERATION", generation)
+    got = [_answers(*case) for case in cases]
+    assert [a for a, _ in got] == [a for a, _ in want]
+    assert sum(p for _, p in want) > sum(p for _, p in got) > 0
+
+
+def test_state_cut_runs_only_where_it_is_exact(default_lib):
+    fir, diffeq = load_bench("fir"), load_bench("diffeq")
+    rep = bb_pareto(fir, compute_timing(fir, 2), default_lib, SearchConfig(mode=ArchMode.MULTI_VDD))
+    assert rep.state_prunes > 0
+    # Not under fgdvs, whose switching charge the state does not capture,
+    # and not with dominance pruning off, which must see the plain tree.
+    assert bb_pareto(
+        diffeq, compute_timing(diffeq, 1), default_lib, SearchConfig(mode=ArchMode.FGDVS)
+    ).state_prunes == 0
+    diamonds = parse_dfg(support.DIAMONDS_DFG)
+    for mode in (ArchMode.SINGLE_VDD, ArchMode.MULTI_VDD):
+        cfg = SearchConfig(mode=mode, prune_dominance=False)
+        assert bb_pareto(diamonds, compute_timing(diamonds, 2), default_lib, cfg).state_prunes == 0
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,26 @@ def test_pareto_emit_first_on_a_deep_chain(tmp_path, capsys):
     assert json.loads(side.read_text())["first_solution"]["area"] == 1
 
 
+def test_state_cut_on_graphs_past_255_steps_and_nodes(tmp_path, capsys):
+    # The state cut packs end times, unit counts and positions into bytes;
+    # here the latency bound, then the node count, passes 255.
+    side = tmp_path / "chain.json"
+    rc = main([
+        "pareto", "--dfg", dfg_file(tmp_path, chain_dfg(300)), "--lib", LIB,
+        "--mode", "multi-vdd", "--k", "2", "--json", str(side),
+    ])
+    assert rc == 0
+    assert "latency_bound=302 front=1" in capsys.readouterr().out
+    assert json.loads(side.read_text())["state_prunes"] > 0
+    for mode in ("multi-vdd", "single-vdd"):
+        rc = main([
+            "budget", "--dfg", dfg_file(tmp_path, chain_dfg(600)), "--lib", LIB,
+            "--mode", mode, "--k", "1", "--power-budget", "5000", "--algorithm", "bb-first",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("chain600: (1, ")
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -542,7 +562,7 @@ def under(prefix: str, keys: set[str]) -> set[str]:
 FRONT = {"area", "area_by_type", "dynamic", "latency", "leakage", "power", "schedule", "switching"}
 REPORT = {
     "budget_prunes", "completed", "dominance_prunes", "elapsed", "front", "front_size",
-    "nodes_expanded",
+    "nodes_expanded", "state_prunes",
 } | under("front[]", FRONT)
 SCHEDULE = {
     "algorithm", "area", "command", "dfg", "elapsed", "feasible", "k", "mode", "power",
