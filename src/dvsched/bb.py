@@ -26,8 +26,14 @@ The prefix power counts dynamic and leakage only.  The FGDVS switching
 overhead of a completed schedule is *not* monotone in its prefixes (a
 later op can raise the unit count and let an earlier op bind switch-free),
 so including it would over-prune; it is charged only on complete
-schedules, whose exact cost is recomputed with the shared cost functions
-before archiving.
+schedules.  A leaf is costed from the walk's own state: the area and the
+unit counts it tracks, and per node the (dynamic, gated leakage, psw)
+terms of its level, tabled before the walk.  The binding rule of
+``switch_charges`` prices the switching, and ``cost_from_terms`` sums each
+component with ``math.fsum`` over the same term products ``schedule_cost``
+forms, so the CostTuple is bit-identical to ``schedule_cost``'s.  The
+schedule dict is built only for the first solution and for a leaf the
+front does not already cover.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from operator import getitem, itemgetter
 from struct import Struct, calcsize
 
 from .dfg import Dfg, Schedule, TimingInfo, topological_order
@@ -46,7 +53,9 @@ from .power import (
     CostTuple,
     ParetoSet,
     ResourceLibrary,
+    cost_from_terms,
     schedule_cost,
+    switch_charges,
 )
 
 
@@ -57,7 +66,7 @@ class SearchConfig:
     time_limit: float | None = None  # seconds; None = unbounded
     emit_first_solution: bool = False
     prune_dominance: bool = True
-    debug_check: bool = False  # cross-check incremental costs at every leaf
+    debug_check: bool = False  # raise unless each leaf's cost == schedule_cost's
 
     def __post_init__(self) -> None:
         if self.time_limit is not None and not self.time_limit > 0:  # also NaN
@@ -81,6 +90,7 @@ class SearchReport:
     budget_prunes: int
     dominance_prunes: int
     state_prunes: int
+    leaves: int  # complete schedules the walk reached and costed
     completed: bool
     elapsed: float
 
@@ -124,6 +134,7 @@ def _run(
     usable = {op: lib.levels(op)[:n_usable] for op in type_names}
     kind_of: dict[tuple[str, int], int] = {}
     kind_type: list[int] = []
+    kind_plk: list[float] = []
     unit_leak: list[float] = []
     forced_leak: list[float] = []
     for ti, op in enumerate(type_names):
@@ -131,6 +142,7 @@ def _run(
         for li, lvl in enumerate(usable[op]):
             if multi or li == 0:
                 kind_type.append(ti)
+                kind_plk.append(lvl.p_lk)
                 unit_leak.append(0.0 if fgdvs else lvl.p_lk * bound)
             kind_of[op, li] = len(kind_type) - 1
         forced_leak.append(min(unit_leak[first_kind:]))
@@ -161,8 +173,20 @@ def _run(
         # Some node's window is shorter than its fastest level, or some type
         # in the graph may have no unit: no schedule exists, so the search
         # is complete before it starts.
-        return SearchReport(ParetoSet(), None, 0, 0, 0, 0, completed=True, elapsed=0.0)
+        return SearchReport(ParetoSet(), None, 0, 0, 0, 0, 0, completed=True, elapsed=0.0)
     power_cap = cfg.budget.power_cap
+
+    # Leaf costing: per position and duration, the node's (dynamic, gated
+    # leakage, psw) terms, the same products schedule_cost forms; and the
+    # positions of each type, whose ops the FGDVS binder takes per type.
+    leaf_terms = [
+        {lvl.cycles: (lvl.p_dyn * lvl.cycles, lvl.p_lk * lvl.cycles, lvl.p_sw)
+         for lvl in usable[g.nodes[v]]}
+        for v in order
+    ]
+    type_positions = [
+        [i for i, v in enumerate(order) if g.nodes[v] == op] for op in type_names
+    ]
 
     # Suffix lower bounds: every node still unplaced at position i will pay
     # at least its cheapest per-op energy, and every type whose first node
@@ -240,7 +264,7 @@ def _run(
 
     front = ParetoSet()
     archive_pts = front.points  # (area, power) per member, kept in place by insert
-    expanded = budget_prunes = dominance_prunes = state_prunes = 0
+    expanded = budget_prunes = dominance_prunes = state_prunes = leaves = 0
     states: dict[bytes, float] = {}  # state key -> least cur_power seen with it
     older: dict[bytes, float] = {}  # the previous generation of states
     cur_area, cur_power = 0, 0.0  # the placed prefix's area and dyn+leak power
@@ -252,21 +276,39 @@ def _run(
         deadline = t0 + cfg.time_limit
 
     def handle_leaf() -> None:
-        nonlocal first
-        sched: Schedule = {order[j]: (starts[j], durs[j]) for j in range(n)}
-        cost = schedule_cost(g, sched, lib, mode, bound)
-        if cfg.debug_check:
-            assert cost.area_total == cur_area, sched
-            assert abs((cost.dynamic + cost.leakage) - cur_power) < 1e-6, sched
-            for op, count in cost.area_by_type.items():
-                assert type_area[type_idx[op]] == count, sched
+        """Cost the complete schedule in starts/durs from the walk's state
+        and offer it to the front."""
+        nonlocal first, leaves
+        leaves += 1
+        picked = list(map(getitem, leaf_terms, durs))
+        if fgdvs:
+            leakage = map(itemgetter(1), picked)
+            switching = switch_charges(
+                [[(starts[i], order[i], durs[i], picked[i][2]) for i in at] for at in type_positions],
+                type_area,
+            )
+        else:
+            leakage = [c * plk * bound for c, plk in zip(cur_max, kind_plk)]
+            switching = []
+        cost = cost_from_terms(
+            dict(zip(type_names, type_area)), map(itemgetter(0), picked), leakage, switching, bound
+        )
+        if cfg.debug_check:  # raised, not asserted, so that it also runs under -O
+            sched = schedule()
+            want = schedule_cost(g, sched, lib, mode, bound)
+            if cost != want:
+                raise AssertionError(f"leaf cost {cost} != schedule_cost {want} for {sched}")
         if not cfg.budget.allows(cost.area_by_type, cost.power):
             return
         if first is None:
-            first = (cost, sched, time.perf_counter() - t0)
+            first = (cost, schedule(), time.perf_counter() - t0)
             if stop_after_first:
                 raise _StopSearch
-        front.insert(cost, sched)
+        if not front.covers(cost):
+            front.insert(cost, schedule())
+
+    def schedule() -> Schedule:
+        return {order[j]: (starts[j], durs[j]) for j in range(n)}
 
     def seen_state(p: int) -> bool:
         """Whether an earlier prefix reached this prefix's state (positions
@@ -408,6 +450,7 @@ def _run(
         budget_prunes=budget_prunes,
         dominance_prunes=dominance_prunes,
         state_prunes=state_prunes,
+        leaves=leaves,
         completed=completed,
         elapsed=elapsed,
     )

@@ -209,6 +209,7 @@ def _report_json(report: SearchReport) -> dict:
         "budget_prunes": report.budget_prunes,
         "dominance_prunes": report.dominance_prunes,
         "state_prunes": report.state_prunes,
+        "leaves": report.leaves,
         "front_size": len(report.front),
         "front": _front_json(report.front),
     }

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dfg import Dfg, Schedule
 
@@ -252,38 +252,44 @@ def area_of(
     return sum(by_type.values()), by_type
 
 
-def _fgdvs_switching(walk: _Walk) -> float:
-    """Switch overhead under greedy instance binding.
+def switch_charges(
+    ops_by_type: Iterable[list[tuple[int, int, int, float]]], units: Iterable[int]
+) -> list[float]:
+    """The FGDVS switch charges of a schedule under greedy instance binding.
 
-    Ops of each type are bound in ascending (start, node id) order to the
-    per-type unit pool sized by the FGDVS area rule.  An op is charged its
-    level's psw unless it lands on a never-used unit or on a free unit whose
-    previous op had the same duration.  Preference: same-duration free unit,
-    then never-used unit, then any free unit (charged); ties go to the
-    lowest unit index.
+    ``ops_by_type`` holds one list per op type of its ops as
+    ``(start, node id, cycles, psw of the op's level)``, and ``units`` the
+    type's unit count by the FGDVS area rule, in the same order.  Each list
+    is sorted in place and its ops are bound in ascending (start, node id)
+    order to the type's unit pool.  An op is charged its level's psw unless
+    it lands on a never-used unit or on a free unit whose previous op had
+    the same duration.  Preference: same-duration free unit, then never-used
+    unit, then any free unit (charged); ties go to the lowest unit index.
+    This is the only switching rule: ``schedule_cost`` and the search's
+    leaf costing both call it, and ``cost_from_terms`` sums the charges.
     """
     charges: list[float] = []
-    for op, ops in walk.ops_by_type.items():
+    for ops, count in zip(ops_by_type, units):
         ops.sort()
-        units = [[0, 0] for _ in range(walk.area_by_type[op])]  # [busy_until, last_dur]
+        # Never-used units are taken lowest index first, so the used ones
+        # are always the first len(pool) units.
+        pool: list[list[int]] = []  # [busy_until, last_dur] per used unit
         for start, _nid, dur, p_sw in ops:
-            same = fresh = spare = None  # first free unit of each kind
-            for u in units:
-                if u[0] >= start:
+            spare = None  # the first free used unit
+            for unit in pool:
+                if unit[0] < start:
+                    if unit[1] == dur:
+                        break
+                    spare = spare or unit
+            else:
+                if len(pool) < count:
+                    pool.append([start + dur - 1, dur])
                     continue
-                if u[0] == 0:
-                    fresh = fresh or u
-                elif u[1] == dur:
-                    same = u
-                    break
-                spare = spare or u
-            chosen = same or fresh
-            if chosen is None:
-                chosen = spare
+                unit = spare
                 charges.append(p_sw)
-            chosen[0] = start + dur - 1
-            chosen[1] = dur
-    return math.fsum(charges)
+            unit[0] = start + dur - 1
+            unit[1] = dur
+    return charges
 
 
 @dataclass
@@ -337,6 +343,38 @@ class Budget:
 _OVERFLOW = "schedule power is too large for a float; the library's power values are too large"
 
 
+def cost_from_terms(
+    area_by_type: dict[str, int],
+    dynamic: Iterable[float],
+    leakage: Iterable[float],
+    switching: Iterable[float],
+    latency_bound: int,
+) -> CostTuple:
+    """The CostTuple of a schedule whose power is made of these terms.
+
+    Each component is the ``math.fsum`` of its terms, which is correctly
+    rounded whatever their order: any caller that forms the same term
+    products gets a bit-identical CostTuple.  Power values too large for a
+    float raise LibraryError.
+    """
+    try:
+        dyn = math.fsum(dynamic)
+        leak = math.fsum(leakage)
+        sw = math.fsum(switching)
+    except OverflowError:  # finite terms whose sum is too large
+        raise LibraryError(_OVERFLOW) from None
+    if not math.isfinite(dyn + leak + sw):  # a term is too large
+        raise LibraryError(_OVERFLOW)
+    return CostTuple(
+        area_total=sum(area_by_type.values()),
+        area_by_type=area_by_type,
+        dynamic=dyn,
+        leakage=leak,
+        switching=sw,
+        latency=latency_bound,
+    )
+
+
 def schedule_cost(
     g: Dfg,
     schedule: Schedule,
@@ -359,29 +397,17 @@ def schedule_cost(
             f"schedule completes at step {walk.completion}, "
             f"after the latency bound {latency_bound}"
         )
-    try:
-        dynamic = math.fsum(walk.dynamic)
-        if mode is ArchMode.FGDVS:
-            leakage = math.fsum(walk.gated_leakage)
-            switching = _fgdvs_switching(walk)
-        else:
-            leakage = math.fsum(
-                count * lib.levels(op)[idx].p_lk * latency_bound
-                for (op, idx), count in walk.peaks.items()
-            )
-            switching = 0.0
-    except OverflowError:  # finite terms whose sum is too large
-        raise LibraryError(_OVERFLOW) from None
-    if not math.isfinite(dynamic + leakage + switching):  # a term is too large
-        raise LibraryError(_OVERFLOW)
-    return CostTuple(
-        area_total=sum(walk.area_by_type.values()),
-        area_by_type=walk.area_by_type,
-        dynamic=dynamic,
-        leakage=leakage,
-        switching=switching,
-        latency=latency_bound,
-    )
+    if mode is ArchMode.FGDVS:
+        leakage = walk.gated_leakage
+        units = [walk.area_by_type[op] for op in walk.ops_by_type]
+        switching = switch_charges(walk.ops_by_type.values(), units)
+    else:
+        leakage = [
+            count * lib.levels(op)[idx].p_lk * latency_bound
+            for (op, idx), count in walk.peaks.items()
+        ]
+        switching = []
+    return cost_from_terms(walk.area_by_type, walk.dynamic, leakage, switching, latency_bound)
 
 
 def _no_worse(a: tuple, b: tuple, eps: float = POWER_EPS) -> bool:

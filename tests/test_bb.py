@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import replace
 
@@ -17,9 +18,11 @@ from dvsched import (
     bb_first,
     bb_pareto,
     compute_timing,
+    enumerate_schedules,
     load_resource_library,
     oracle_front,
     parse_dfg,
+    schedule_cost,
     validate_schedule,
 )
 
@@ -268,6 +271,58 @@ def test_expansion_counts_pinned(default_lib, name, k, mode, budget, counters, f
 
 
 # ---------------------------------------------------------------------------
+# leaf costs
+
+
+# Cells of the bundled graphs whose searches each finish in about a second.
+RECOST_CELLS = [
+    (name, k, mode)
+    for name, ks in (
+        ("diffeq", (0, 1, 2)), ("iir", (0, 1, 2)), ("fir", (0, 1)), ("lattice", (0, 1)),
+        ("ewf", (0,)), ("dct", (0,)), ("volterra", (0,)),
+    )
+    for k in ks
+    for mode in MODES
+    if (name, mode) != ("volterra", ArchMode.FGDVS)
+]
+
+
+@pytest.mark.parametrize("name, k, mode", RECOST_CELLS)
+def test_leaf_costs_equal_schedule_cost(default_lib, name, k, mode):
+    # A leaf is costed from the walk's own state; every archived cost, and
+    # the first solution's, must be exactly what schedule_cost gives.
+    g = load_bench(name)
+    t = compute_timing(g, k)
+    free = bb_pareto(g, t, default_lib, SearchConfig(mode=mode)).front.sorted_entries()
+    mid = free[len(free) // 2].cost
+    for budget in (Budget(), Budget(power_cap=mid.power), Budget(area_caps=mid.area_by_type)):
+        for emit in (False, True):
+            cfg = SearchConfig(mode=mode, budget=budget, emit_first_solution=emit)
+            rep = bb_pareto(g, t, default_lib, cfg)
+            assert rep.completed and len(rep.front) > 0
+            kept = [(e.cost, e.schedule) for e in rep.front]
+            if emit:
+                kept.append(rep.first_solution[:2])
+            for cost, sched in kept:
+                assert cost == schedule_cost(g, sched, default_lib, mode, t.latency_bound)
+
+
+def test_debug_check_raises_on_a_leaf_cost_one_ulp_off(monkeypatch, default_lib):
+    t = compute_timing(SMOKE, 1)
+    cfg = SearchConfig(mode=ArchMode.FGDVS, debug_check=True, emit_first_solution=True)
+    bb_pareto(SMOKE, t, default_lib, cfg)
+    real = schedule_cost
+
+    def one_ulp_off(*args):
+        cost = real(*args)
+        return replace(cost, switching=math.nextafter(cost.switching, math.inf))
+
+    monkeypatch.setattr("dvsched.bb.schedule_cost", one_ulp_off)
+    with pytest.raises(AssertionError):
+        bb_pareto(SMOKE, t, default_lib, cfg)
+
+
+# ---------------------------------------------------------------------------
 # state cut
 
 
@@ -339,6 +394,7 @@ def test_disabling_dominance_prune_changes_nothing_but_work(seed, k):
     rng = random.Random(seed)
     g, lib = support.random_instance(rng, state_cap=3000)
     t = compute_timing(g, k)
+    schedules = sum(1 for _ in enumerate_schedules(g, t, lib))
     for mode in (ArchMode.MULTI_VDD, ArchMode.FGDVS):
         on = bb_pareto(g, t, lib, SearchConfig(mode=mode))
         off = bb_pareto(g, t, lib, SearchConfig(mode=mode, prune_dominance=False))
@@ -346,6 +402,9 @@ def test_disabling_dominance_prune_changes_nothing_but_work(seed, k):
         assert on.nodes_expanded <= off.nodes_expanded
         assert off.dominance_prunes == 0
         assert on.dominance_prunes >= 0
+        # Unpruned and unbudgeted, the walk reaches every valid schedule once.
+        assert off.leaves == schedules
+        assert on.leaves <= off.leaves
 
 
 def test_diamonds_prune_cuts_half_the_work(default_lib):

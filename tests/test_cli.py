@@ -562,7 +562,7 @@ def under(prefix: str, keys: set[str]) -> set[str]:
 FRONT = {"area", "area_by_type", "dynamic", "latency", "leakage", "power", "schedule", "switching"}
 REPORT = {
     "budget_prunes", "completed", "dominance_prunes", "elapsed", "front", "front_size",
-    "nodes_expanded", "state_prunes",
+    "leaves", "nodes_expanded", "state_prunes",
 } | under("front[]", FRONT)
 SCHEDULE = {
     "algorithm", "area", "command", "dfg", "elapsed", "feasible", "k", "mode", "power",

@@ -1,16 +1,35 @@
-"""Fuzz tests: no input text ends in anything but a documented outcome.
+"""Fuzz tests: no input text ends in anything but a documented outcome,
+and no valid library gives a wrong cost.
 
 Each parser either returns a value or raises its own error type, and the
 CLI run on a fuzzed library or area budget exits with one of its
-documented codes.
+documented codes.  On random valid libraries the search's fronts match
+the oracle's and every kept schedule recosts to its archived cost.
 """
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from dvsched import DfgError, LibraryError, load_resource_library, parse_dfg
+from dvsched import (
+    POWER_EPS,
+    ArchMode,
+    DfgError,
+    LibraryError,
+    ResourceLibrary,
+    SearchConfig,
+    VoltageLevel,
+    bb_pareto,
+    compute_timing,
+    load_resource_library,
+    oracle_front,
+    parse_dfg,
+    schedule_cost,
+    state_space_estimate,
+)
 from dvsched.cli import main
 
 import support
@@ -170,3 +189,41 @@ def test_cli_on_fuzzed_area_budget_exits_with_a_documented_code(
         "--k", str(k), "--mode", mode, "--algorithm", algorithm, "--area-budget", caps,
     ]
     assert main(argv) in (0, 2, 3, 4)
+
+
+# Valid libraries whose levels each charge their own psw and plk, so a cost
+# that takes either from the wrong level shows.
+@st.composite
+def valid_libraries(draw, types: tuple[str, ...]) -> ResourceLibrary:
+    levels = {}
+    for op in types:
+        n = draw(st.integers(1, 3))
+        cycles = sorted(draw(st.sets(st.integers(1, 4), min_size=n, max_size=n)))
+        pdyn = sorted(draw(st.sets(st.floats(0.5, 20.0), min_size=n, max_size=n)), reverse=True)
+        plk = draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n, unique=True))
+        psw = draw(st.lists(st.floats(0.0, 5.0), min_size=n, max_size=n, unique=True))
+        levels[op] = [
+            VoltageLevel(vdd=1.0 - 0.1 * i, cycles=c, p_dyn=d, p_lk=lk, p_sw=sw)
+            for i, (c, d, lk, sw) in enumerate(zip(cycles, pdyn, plk, psw))
+        ]
+    return ResourceLibrary(levels)
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.data())
+def test_search_costs_match_oracle_on_random_libraries(seed, k, data):
+    rng = random.Random(seed)
+    types = ("mul", "add")
+    g = parse_dfg(support.random_dag_text(rng, list(types), rng.randint(2, 6)))
+    lib = data.draw(valid_libraries(types))
+    t = compute_timing(g, k)
+    if state_space_estimate(g, t, lib) > 3000:
+        return
+    for mode in ArchMode:
+        want = oracle_front(g, t, lib, mode).cost_points()
+        rep = bb_pareto(g, t, lib, SearchConfig(mode=mode))
+        got = rep.front.cost_points()
+        assert [a for a, _ in got] == [a for a, _ in want]
+        assert all(abs(p - q) <= POWER_EPS for (_a, p), (_b, q) in zip(got, want))
+        for e in rep.front:
+            assert e.cost == schedule_cost(g, e.schedule, lib, mode, t.latency_bound)

@@ -37,7 +37,8 @@ rep = bb_pareto(g, compute_timing(g, k), lib, SearchConfig(mode=mode, time_limit
 print(json.dumps({
     "completed": rep.completed, "seconds": rep.elapsed, "expanded": rep.nodes_expanded,
     "budget_prunes": rep.budget_prunes, "dominance_prunes": rep.dominance_prunes,
-    "state_prunes": getattr(rep, "state_prunes", None), "front": rep.front.cost_points(),
+    "state_prunes": getattr(rep, "state_prunes", None), "leaves": getattr(rep, "leaves", None),
+    "front": rep.front.cost_points(),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
