@@ -27,12 +27,12 @@ overhead of a completed schedule is *not* monotone in its prefixes (a
 later op can raise the unit count and let an earlier op bind switch-free),
 so including it would over-prune; it is charged only on complete
 schedules.  A leaf is costed from the walk's own state: the area and the
-unit counts it tracks, and per node the (dynamic, gated leakage, psw)
-terms of its level, tabled before the walk.  The binding rule of
-``switch_charges`` prices the switching, and ``cost_from_terms`` sums each
-component with ``math.fsum`` over the same term products ``schedule_cost``
-forms, so the CostTuple is bit-identical to ``schedule_cost``'s.  The
-schedule dict is built only for the first solution and for a leaf the
+unit counts it tracks, and per node the row of its level in the mode's
+``Pricing`` table.  ``Pricing.cost`` sums the rows' terms and the units'
+always-on leakage, and ``switch_charges`` prices the switching where the
+table charges it.  ``schedule_cost`` reads the same rows and calls the
+same two functions, so the CostTuples are bit-identical by construction.
+The schedule dict is built only for the first solution and for a leaf the
 front does not already cover.
 """
 
@@ -53,7 +53,6 @@ from .power import (
     CostTuple,
     ParetoSet,
     ResourceLibrary,
-    cost_from_terms,
     schedule_cost,
     switch_charges,
 )
@@ -113,9 +112,7 @@ def _run(
     order = topological_order(g)
     n = len(order)
     bound = timing.latency_bound
-    mode = cfg.mode
-    multi = mode is ArchMode.MULTI_VDD
-    fgdvs = mode is ArchMode.FGDVS
+    price = lib.pricing(cfg.mode)
 
     type_names = sorted({g.nodes[v] for v in order})
     type_idx = {op: i for i, op in enumerate(type_names)}
@@ -125,46 +122,29 @@ def _run(
     asap_a = [timing.asap[v] for v in order]
     alap_a = [timing.alap[v] for v in order]
 
-    # Unit kinds: one per (type, level) under MULTI_VDD, one per type
-    # otherwise; single-vdd units run at the fastest level only.  Each kind
-    # has its own usage histogram and, outside FGDVS, pays always-on
-    # leakage for the whole horizon per allocated unit.  forced_leak is the
-    # least a type's first unit can leak.
-    n_usable = 1 if mode is ArchMode.SINGLE_VDD else None
-    usable = {op: lib.levels(op)[:n_usable] for op in type_names}
-    kind_of: dict[tuple[str, int], int] = {}
-    kind_type: list[int] = []
-    kind_plk: list[float] = []
-    unit_leak: list[float] = []
-    forced_leak: list[float] = []
-    for ti, op in enumerate(type_names):
-        first_kind = len(kind_type)
-        for li, lvl in enumerate(usable[op]):
-            if multi or li == 0:
-                kind_type.append(ti)
-                kind_plk.append(lvl.p_lk)
-                unit_leak.append(0.0 if fgdvs else lvl.p_lk * bound)
-            kind_of[op, li] = len(kind_type) - 1
-        forced_leak.append(min(unit_leak[first_kind:]))
+    # Per position, the node's usable levels as the price table's rows by
+    # duration.  Unit kinds are the table's too: each has its own usage
+    # histogram and pays its always-on leakage rate for the whole horizon
+    # per allocated unit.  forced_leak is the least a type's first unit can
+    # leak.
+    usable = {op: price.rows(op) for op in type_names}
+    rows_at = [usable[g.nodes[v]] for v in order]
+    kind_type = [type_idx.get(op) for op, _rate in price.kinds]  # None: not in the graph
+    unit_leak = [rate * bound for _op, rate in price.kinds]
+    forced_leak = [min(unit_leak[row[1]] for row in usable[op].values()) for op in type_names]
 
     # Per node: (duration, kind, dyn+leak prefix energy) fastest-first, for
     # the levels whose duration fits the node's window; no placement can
-    # use a longer one.  The prefix energy folds per-op leakage in under
-    # FGDVS; always-on leakage for the other modes is tracked per allocated
-    # unit.
+    # use a longer one.  The per-op leakage is 0.0 where units leak
+    # always-on, which is tracked per allocated unit instead.
     options: list[tuple[tuple[int, int, float], ...]] = []
-    for i, v in enumerate(order):
-        op = g.nodes[v]
+    for i, rows in enumerate(rows_at):
         window = alap_a[i] - asap_a[i] + 1
-        opts = []
-        for li, lvl in enumerate(usable[op]):
-            if lvl.cycles > window:
-                break  # cycles ascend; no later level fits either
-            energy = lvl.p_dyn * lvl.cycles
-            if fgdvs:
-                energy += lvl.p_lk * lvl.cycles
-            opts.append((lvl.cycles, kind_of[op, li], energy))
-        options.append(tuple(opts))
+        options.append(tuple(
+            (cycles, kind, dyn + leak)
+            for cycles, kind, dyn, leak, _psw in rows.values()
+            if cycles <= window
+        ))
 
     caps: list[int] | None = None
     if cfg.budget.area_caps is not None:
@@ -176,14 +156,7 @@ def _run(
         return SearchReport(ParetoSet(), None, 0, 0, 0, 0, 0, completed=True, elapsed=0.0)
     power_cap = cfg.budget.power_cap
 
-    # Leaf costing: per position and duration, the node's (dynamic, gated
-    # leakage, psw) terms, the same products schedule_cost forms; and the
-    # positions of each type, whose ops the FGDVS binder takes per type.
-    leaf_terms = [
-        {lvl.cycles: (lvl.p_dyn * lvl.cycles, lvl.p_lk * lvl.cycles, lvl.p_sw)
-         for lvl in usable[g.nodes[v]]}
-        for v in order
-    ]
+    # The positions of each type, whose ops the FGDVS binder takes per type.
     type_positions = [
         [i for i, v in enumerate(order) if g.nodes[v] == op] for op in type_names
     ]
@@ -196,11 +169,8 @@ def _run(
     suffix_energy = [0.0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_energy[i] = suffix_energy[i + 1] + min(e for _d, _k, e in options[i])
-    first_pos: dict[str, int] = {}
-    for i, v in enumerate(order):
-        first_pos.setdefault(g.nodes[v], i)
     unstarted = [
-        tuple(forced_leak[tj] for tj, op in enumerate(type_names) if first_pos[op] >= i)
+        tuple(forced_leak[tj] for tj, at in enumerate(type_positions) if at[0] >= i)
         for i in range(n + 1)
     ]
 
@@ -220,7 +190,7 @@ def _run(
     #     where hist[kind][lo:hi] spans every step such a node can occupy.
     # A key's length is fixed by p; packing[p] packs it into bytes with the
     # narrowest code that holds max(n, bound + 1), the largest value in it.
-    state_cut = cfg.prune_dominance and not fgdvs
+    state_cut = cfg.prune_dominance and not price.switching
     frontier: list[tuple[tuple[int, int], ...]] = []
     live_kinds: list[tuple[int, ...]] = [()] * (n + 1)
     windows: list[tuple[tuple[int, int, int], ...]] = [()] * (n + 1)
@@ -240,13 +210,13 @@ def _run(
             frontier.append(tuple((u, child_asap[u]) for u in open_nodes))
         win_lo = [bound + 1] * len(kind_type)
         win_hi = [0] * len(kind_type)
-        live = [False] * len(type_names)
+        live: set[int] = set()
         for p in range(n - 1, -1, -1):
-            live[type_idx[g.nodes[order[p]]]] = True
+            live.update(row[1] for row in rows_at[p].values())
             for _d, kind, _e in options[p]:
                 win_lo[kind] = min(win_lo[kind], asap_a[p])
                 win_hi[kind] = max(win_hi[kind], alap_a[p] + 1)
-            live_kinds[p] = tuple(k for k, ti in enumerate(kind_type) if live[ti])
+            live_kinds[p] = tuple(sorted(live))
             windows[p] = tuple(
                 (k, win_lo[k], win_hi[k]) for k in live_kinds[p] if win_lo[k] < win_hi[k]
             )
@@ -280,22 +250,20 @@ def _run(
         and offer it to the front."""
         nonlocal first, leaves
         leaves += 1
-        picked = list(map(getitem, leaf_terms, durs))
-        if fgdvs:
-            leakage = map(itemgetter(1), picked)
+        picked = list(map(getitem, rows_at, durs))
+        switching = []
+        if price.switching:
             switching = switch_charges(
-                [[(starts[i], order[i], durs[i], picked[i][2]) for i in at] for at in type_positions],
+                [[(starts[i], order[i], durs[i], picked[i][4]) for i in at] for at in type_positions],
                 type_area,
             )
-        else:
-            leakage = [c * plk * bound for c, plk in zip(cur_max, kind_plk)]
-            switching = []
-        cost = cost_from_terms(
-            dict(zip(type_names, type_area)), map(itemgetter(0), picked), leakage, switching, bound
+        cost = price.cost(
+            dict(zip(type_names, type_area)), map(itemgetter(2), picked),
+            map(itemgetter(3), picked), enumerate(cur_max), switching, bound,
         )
         if cfg.debug_check:  # raised, not asserted, so that it also runs under -O
             sched = schedule()
-            want = schedule_cost(g, sched, lib, mode, bound)
+            want = schedule_cost(g, sched, lib, cfg.mode, bound)
             if cost != want:
                 raise AssertionError(f"leaf cost {cost} != schedule_cost {want} for {sched}")
         if not cfg.budget.allows(cost.area_by_type, cost.power):
@@ -411,7 +379,7 @@ def _run(
                 cur_area = old_area
                 cur_power = old_power
 
-    if not stop_after_first and not cfg.emit_first_solution:
+    if not cfg.emit_first_solution:
         # Seed the archive with the two list-scheduling extremes so the
         # dominance prune has cover at both ends of the front from the
         # start.  Seeds are ordinary feasible schedules: anything they
@@ -420,9 +388,9 @@ def _run(
         # when the caller wants the first solution: a seed could prune
         # the exact leaf the search would otherwise report first.
         for pr in (Priority.MAX_DURATION, Priority.MIN_DURATION):
-            seed = list_schedule(g, timing, lib, mode, cfg.budget, pr)
+            seed = list_schedule(g, timing, lib, cfg.mode, cfg.budget, pr)
             if seed is not None:
-                cost = schedule_cost(g, seed, lib, mode, bound)
+                cost = schedule_cost(g, seed, lib, cfg.mode, bound)
                 if cfg.budget.allows(cost.area_by_type, cost.power):
                     front.insert(cost, seed)
 
@@ -445,7 +413,7 @@ def _run(
     elapsed = time.perf_counter() - t0
     return SearchReport(
         front=front,
-        first_solution=first if (cfg.emit_first_solution or stop_after_first) else None,
+        first_solution=first if cfg.emit_first_solution else None,
         nodes_expanded=expanded,
         budget_prunes=budget_prunes,
         dominance_prunes=dominance_prunes,

@@ -490,7 +490,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     mode = ArchMode(args.mode)
     schedules = _parse_schedule_file(args.schedule)
 
-    allowed = lib.allowed_durations()
+    allowed = lib.pricing(mode).durations()
     failures = 0
     for idx, schedule in enumerate(schedules):
         label = f"schedule {idx + 1}/{len(schedules)}"

@@ -273,7 +273,7 @@ def validate_schedule(
                 return Violation(
                     rule="duration",
                     node=v,
-                    message=f"node {v}: duration {dur} is not a library cycle count for {g.nodes[v]!r}",
+                    message=f"node {v}: duration {dur} is not an allowed cycle count for {g.nodes[v]!r}",
                 )
         if start + dur - 1 > timing.alap[v]:
             return Violation(

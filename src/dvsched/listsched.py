@@ -31,26 +31,19 @@ def list_schedule(
     """One greedy pass in topological order; None when it gets stuck.
 
     Each node starts as early as precedence allows and takes the largest
-    (MAX_DURATION) or smallest (MIN_DURATION) library cycle count that both
-    meets its deadline window and keeps the running prefix cost within the
-    budget.  With no budget and MIN_DURATION this degenerates to the
-    unit-duration ASAP schedule.
+    (MAX_DURATION) or smallest (MIN_DURATION) cycle count the mode may use
+    that both meets its deadline window and keeps the running prefix cost
+    within the budget.  With no budget and MIN_DURATION this degenerates to
+    the unit-duration ASAP schedule.
     """
+    price = lib.pricing(mode)
     schedule: Schedule = {}
     for v in topological_order(g):
-        op = g.nodes[v]
         earliest = timing.asap[v]
         for u in g.preds[v]:
             su, du = schedule[u]
             earliest = max(earliest, su + du)
-        if mode is ArchMode.SINGLE_VDD:
-            candidates = [lib.fastest(op).cycles]
-        else:
-            candidates = list(lib.cycle_counts(op))
-        if priority is Priority.MAX_DURATION:
-            candidates.sort(reverse=True)
-        else:
-            candidates.sort()
+        candidates = sorted(price.rows(g.nodes[v]), reverse=priority is Priority.MAX_DURATION)
         placed = False
         for dur in candidates:
             if earliest + dur - 1 > timing.alap[v]:

@@ -118,15 +118,13 @@ def oracle_front(
 ) -> ParetoSet:
     """Exact pareto front by exhaustive enumeration and folding.
 
-    Under SINGLE_VDD only level-0 durations are admissible, so other
-    schedules are skipped rather than costed.
+    Schedules with a duration the mode may not use (under SINGLE_VDD, any
+    level but level 0) are skipped rather than costed.
     """
     front = ParetoSet()
-    fastest = {op: lib.fastest(op).cycles for op in lib.op_types()}
+    allowed = lib.pricing(mode).durations()
     for schedule in enumerate_schedules(g, timing, lib, bound):
-        if mode is ArchMode.SINGLE_VDD and any(
-            dur != fastest[g.nodes[nid]] for nid, (_s, dur) in schedule.items()
-        ):
+        if any(dur not in allowed[g.nodes[nid]] for nid, (_s, dur) in schedule.items()):
             continue
         cost = schedule_cost(g, schedule, lib, mode, timing.latency_bound)
         if budget.allows(cost.area_by_type, cost.power):

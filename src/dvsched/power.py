@@ -1,18 +1,21 @@
 """Resource libraries, architecture cost models, and pareto fronts.
 
-Three architecture styles are costed for the same schedule:
+Three architecture styles price the same schedule:
 
-* ``SINGLE_VDD``  -- every unit runs at the fastest (level-0) voltage.
+* ``SINGLE_VDD``  -- units run at the fastest (level-0) voltage only.
 * ``MULTI_VDD``   -- each allocated unit is fixed at one voltage level for
   the whole run, so per-(type, level) concurrency maxima are summed.
 * ``FGDVS``       -- units switch voltage per operation and are power-gated
   while idle, at the price of a per-switch overhead.
 
-A node's duration selects its voltage level: cycle counts are unique within
-an op type, so (type, duration) identifies the level.  ``schedule_cost``
-looks each node's level up once, in a single pass over the schedule, and
-returns the area with the dynamic, leakage and switching power;
-``area_of`` is the area part of the same pass.
+Outside FGDVS every allocated unit leaks for the whole latency bound; under
+FGDVS an op leaks only while it runs.  ``Pricing`` states these rules once,
+as a table per (library, mode) that ``ResourceLibrary.pricing`` builds on
+first use; the search, the list scheduler, the oracle and ``validate`` read it.
+Cycle counts are unique within an op type, so (type, duration) identifies
+a node's level.  ``schedule_cost`` looks each node's row up once, in a
+single pass, and returns the area with the dynamic, leakage and switching
+power; ``area_of`` is the area part of the same pass.
 
 Library file format (line oriented, ``#`` starts a comment)::
 
@@ -28,7 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .dfg import Dfg, Schedule
@@ -86,7 +90,7 @@ class ResourceLibrary:
 
     def __init__(self, levels_by_type: Mapping[str, Sequence[VoltageLevel]]):
         self._levels: dict[str, tuple[VoltageLevel, ...]] = {}
-        self._by_cycles: dict[str, dict[int, tuple[int, VoltageLevel]]] = {}
+        self._pricing: dict[ArchMode, Pricing] = {}
         for op, levels in levels_by_type.items():
             levels = tuple(levels)
             if not levels:
@@ -94,9 +98,6 @@ class ResourceLibrary:
             for idx, lvl in enumerate(levels):
                 _check_level(op, lvl, levels[idx - 1] if idx else None)
             self._levels[op] = levels
-            self._by_cycles[op] = {
-                lvl.cycles: (idx, lvl) for idx, lvl in enumerate(levels)
-            }
 
     def op_types(self) -> tuple[str, ...]:
         return tuple(self._levels)
@@ -112,13 +113,10 @@ class ResourceLibrary:
 
     def level_for(self, op: str, cycles: int) -> tuple[int, VoltageLevel]:
         """(level index, level) for a duration, or LibraryError."""
-        table = self._by_cycles.get(op)
-        if table is None:
-            raise LibraryError(f"op type {op!r} is not in the library")
-        hit = table.get(cycles)
-        if hit is None:
-            raise LibraryError(f"no {op!r} level takes {cycles} cycles")
-        return hit
+        for idx, lvl in enumerate(self.levels(op)):
+            if lvl.cycles == cycles:
+                return idx, lvl
+        raise LibraryError(f"no {op!r} level takes {cycles} cycles")
 
     def cycle_counts(self, op: str) -> tuple[int, ...]:
         return tuple(lvl.cycles for lvl in self.levels(op))
@@ -126,6 +124,13 @@ class ResourceLibrary:
     def allowed_durations(self) -> dict[str, frozenset[int]]:
         return {op: frozenset(t) for op, t in
                 ((op, self.cycle_counts(op)) for op in self._levels)}
+
+    def pricing(self, mode: ArchMode) -> Pricing:
+        """The mode's price table for this library, built on first use."""
+        table = self._pricing.get(mode)
+        if table is None:
+            table = self._pricing[mode] = Pricing(self, mode)
+        return table
 
 
 def load_resource_library(text: str) -> ResourceLibrary:
@@ -185,56 +190,135 @@ def load_resource_library(text: str) -> ResourceLibrary:
     return ResourceLibrary(levels_by_type)
 
 
+_OVERFLOW = "schedule power is too large for a float; the library's power values are too large"
+
+
+Row = tuple[int, int, float, float, float]  # (cycles, kind, pdyn*cycles, per-op leak, psw)
+
+
+class Pricing:
+    """One mode's rules for one library, as rows and unit kinds.
+
+    ``rows(op)`` maps each cycle count the mode may run ``op`` in to its
+    ``Row``, fastest first; the per-op leak is ``plk * cycles`` under FGDVS
+    and 0.0 otherwise.  ``kinds[row kind]`` is ``(type, always-on leak
+    rate)``: ``plk`` outside FGDVS, 0.0 under it.  ``switching`` says
+    whether switch events are charged.
+    """
+
+    def __init__(self, lib: ResourceLibrary, mode: ArchMode):
+        self.switching = gated = mode is ArchMode.FGDVS
+        per_level = mode is ArchMode.MULTI_VDD
+        n_usable = 1 if mode is ArchMode.SINGLE_VDD else None
+        self.kinds: list[tuple[str, float]] = []
+        self._rows: dict[str, dict[int, Row]] = {}
+        for op in lib.op_types():
+            rows = self._rows[op] = {}
+            for idx, lvl in enumerate(lib.levels(op)[:n_usable]):
+                if idx == 0 or per_level:
+                    self.kinds.append((op, 0.0 if gated else lvl.p_lk))
+                leak = lvl.p_lk * lvl.cycles if gated else 0.0
+                rows[lvl.cycles] = (
+                    lvl.cycles, len(self.kinds) - 1, lvl.p_dyn * lvl.cycles, leak, lvl.p_sw
+                )
+        self._miss = (
+            "node {nid}: duration {cycles} is not the level-0 cycle count for {op!r} in single-vdd mode"
+            if n_usable else "no {op!r} level takes {cycles} cycles"
+        )
+
+    def rows(self, op: str) -> dict[int, Row]:
+        """Each cycle count the mode may run ``op`` in, fastest first, with its row."""
+        try:
+            return self._rows[op]
+        except KeyError:
+            raise LibraryError(f"op type {op!r} is not in the library") from None
+
+    def lookup(self, nid: int, op: str, cycles: int) -> Row:
+        """The row of node ``nid``, of type ``op``, when it takes ``cycles``."""
+        try:
+            return self._rows[op][cycles]
+        except KeyError:
+            self.rows(op)  # raises for a type not in the library
+            raise LibraryError(self._miss.format(nid=nid, op=op, cycles=cycles)) from None
+
+    def durations(self) -> dict[str, frozenset[int]]:
+        """The cycle counts the mode may use, per type."""
+        return {op: frozenset(rows) for op, rows in self._rows.items()}
+
+    def cost(
+        self,
+        area_by_type: dict[str, int],
+        dynamic: Iterable[float],
+        op_leakage: Iterable[float],
+        units: Iterable[tuple[int, int]],
+        switching: Iterable[float],
+        latency_bound: int,
+    ) -> CostTuple:
+        """The CostTuple of the picked rows' terms and ``(kind, count)`` units.
+
+        Each component is one ``math.fsum``, correctly rounded whatever the
+        order of its terms; a mode's uncharged terms are exact zeros, which
+        change no sum.  Power too large for a float raises LibraryError.
+        """
+        always_on = [count * self.kinds[k][1] * latency_bound for k, count in units]
+        try:
+            dyn = math.fsum(dynamic)
+            leak = math.fsum(chain(op_leakage, always_on))
+            sw = math.fsum(switching)
+        except OverflowError:  # finite terms whose sum is too large
+            raise LibraryError(_OVERFLOW) from None
+        if not math.isfinite(dyn + leak + sw):  # a term is too large
+            raise LibraryError(_OVERFLOW)
+        return CostTuple(
+            area_total=sum(area_by_type.values()),
+            area_by_type=area_by_type,
+            dynamic=dyn,
+            leakage=leak,
+            switching=sw,
+            latency=latency_bound,
+        )
+
+
 class _Walk(NamedTuple):
     """Everything a schedule's area and power are made of, from one pass."""
 
-    peaks: dict[tuple[str, int], int]  # peak concurrency per (type, level index or 0)
+    peaks: dict[int, int]  # peak concurrency per unit kind
     area_by_type: dict[str, int]
-    dynamic: list[float]  # p_dyn * cycles per node
-    gated_leakage: list[float]  # p_lk * cycles per node
+    picked: list[Row]  # per node, the row of its level
     ops_by_type: dict[str, list[tuple[int, int, int, float]]]  # (start, node, cycles, p_sw)
     completion: int  # last occupied c-step
 
 
-def _walk(g: Dfg, schedule: Schedule, lib: ResourceLibrary, mode: ArchMode) -> _Walk:
-    """Look up each node's level once and collect its area and power terms.
+def _walk(g: Dfg, schedule: Schedule, price: Pricing) -> _Walk:
+    """Look up each node's row once and collect its area and power terms.
 
-    Occupancy is keyed by (type, level index) under MULTI_VDD, where each
-    unit is pinned to one level, and by (type, 0) otherwise.  SINGLE_VDD
-    rejects any duration other than the level-0 cycle count.
+    Occupancy is kept per unit kind.  A duration the mode cannot use
+    raises LibraryError.
     """
-    multi = mode is ArchMode.MULTI_VDD
-    single = mode is ArchMode.SINGLE_VDD
-    rows: dict[tuple[str, int], dict[int, int]] = {}
-    peaks: dict[tuple[str, int], int] = {}
-    dynamic: list[float] = []
-    gated: list[float] = []
+    lookup = price.lookup
+    busy: dict[int, dict[int, int]] = {}
+    peaks: dict[int, int] = {}
+    picked: list[Row] = []
     ops_by_type: dict[str, list[tuple[int, int, int, float]]] = {}
     completion = 0
     for nid, (start, dur) in schedule.items():
         op = g.nodes[nid]
-        if single and dur != lib.fastest(op).cycles:
-            raise LibraryError(
-                f"node {nid}: duration {dur} is not the level-0 "
-                f"cycle count for {op!r} in single-vdd mode"
-            )
-        idx, lvl = lib.level_for(op, dur)
-        key = (op, idx if multi else 0)
-        row = rows.setdefault(key, {})
-        best = peaks.get(key, 0)
+        picked.append(row := lookup(nid, op, dur))
+        kind = row[1]
+        steps = busy.setdefault(kind, {})
+        best = peaks.get(kind, 0)
         for step in range(start, start + dur):
-            row[step] = count = row.get(step, 0) + 1
+            steps[step] = count = steps.get(step, 0) + 1
             if count > best:
                 best = count
-        peaks[key] = best
-        dynamic.append(lvl.p_dyn * dur)
-        gated.append(lvl.p_lk * dur)
-        ops_by_type.setdefault(op, []).append((start, nid, dur, lvl.p_sw))
+        peaks[kind] = best
+        ops_by_type.setdefault(op, []).append((start, nid, dur, row[4]))
         completion = max(completion, start + dur - 1)
     area_by_type: dict[str, int] = {}
-    for (op, _idx), count in peaks.items():
+    for kind, count in peaks.items():
+        op = price.kinds[kind][0]
         area_by_type[op] = area_by_type.get(op, 0) + count
-    return _Walk(peaks, area_by_type, dynamic, gated, ops_by_type, completion)
+    return _Walk(peaks, area_by_type, picked, ops_by_type, completion)
 
 
 def area_of(
@@ -242,13 +326,10 @@ def area_of(
 ) -> tuple[int, dict[str, int]]:
     """(total units, units per op type) needed to host ``schedule``.
 
-    FGDVS and SINGLE_VDD allocate per-type peak concurrency; MULTI_VDD pins
-    each unit to one level, so per-(type, level) peaks are summed per type.
     The schedule may be partial; missing nodes contribute nothing.  A
-    duration with no level in the library raises LibraryError, as does a
-    SINGLE_VDD duration other than the level-0 cycle count.
+    duration the mode cannot use raises LibraryError.
     """
-    by_type = _walk(g, schedule, lib, mode).area_by_type
+    by_type = _walk(g, schedule, lib.pricing(mode)).area_by_type
     return sum(by_type.values()), by_type
 
 
@@ -266,7 +347,7 @@ def switch_charges(
     the same duration.  Preference: same-duration free unit, then never-used
     unit, then any free unit (charged); ties go to the lowest unit index.
     This is the only switching rule: ``schedule_cost`` and the search's
-    leaf costing both call it, and ``cost_from_terms`` sums the charges.
+    leaf costing both call it, and ``Pricing.cost`` sums the charges.
     """
     charges: list[float] = []
     for ops, count in zip(ops_by_type, units):
@@ -340,41 +421,6 @@ class Budget:
         return True
 
 
-_OVERFLOW = "schedule power is too large for a float; the library's power values are too large"
-
-
-def cost_from_terms(
-    area_by_type: dict[str, int],
-    dynamic: Iterable[float],
-    leakage: Iterable[float],
-    switching: Iterable[float],
-    latency_bound: int,
-) -> CostTuple:
-    """The CostTuple of a schedule whose power is made of these terms.
-
-    Each component is the ``math.fsum`` of its terms, which is correctly
-    rounded whatever their order: any caller that forms the same term
-    products gets a bit-identical CostTuple.  Power values too large for a
-    float raise LibraryError.
-    """
-    try:
-        dyn = math.fsum(dynamic)
-        leak = math.fsum(leakage)
-        sw = math.fsum(switching)
-    except OverflowError:  # finite terms whose sum is too large
-        raise LibraryError(_OVERFLOW) from None
-    if not math.isfinite(dyn + leak + sw):  # a term is too large
-        raise LibraryError(_OVERFLOW)
-    return CostTuple(
-        area_total=sum(area_by_type.values()),
-        area_by_type=area_by_type,
-        dynamic=dyn,
-        leakage=leak,
-        switching=sw,
-        latency=latency_bound,
-    )
-
-
 def schedule_cost(
     g: Dfg,
     schedule: Schedule,
@@ -384,30 +430,27 @@ def schedule_cost(
 ) -> CostTuple:
     """Area and average power of a (possibly partial) schedule, in one pass.
 
-    Dynamic power is each op's per-step draw times its duration.  Leakage is
-    per-op under FGDVS (idle units are gated) but per allocated always-on
-    unit times the latency bound otherwise.  Switching overhead applies to
-    FGDVS only.  A duration with no level in the library raises
-    LibraryError, as does a power too large for a float, and a schedule
-    that completes after ``latency_bound`` raises ValueError.
+    Each node is priced by its row in the mode's ``Pricing`` table, and
+    switching, where the mode charges it, by ``switch_charges``.  A
+    duration the mode cannot use raises LibraryError, as does a power too
+    large for a float, and a schedule that completes after
+    ``latency_bound`` raises ValueError.
     """
-    walk = _walk(g, schedule, lib, mode)
+    price = lib.pricing(mode)
+    walk = _walk(g, schedule, price)
     if walk.completion > latency_bound:
         raise ValueError(
             f"schedule completes at step {walk.completion}, "
             f"after the latency bound {latency_bound}"
         )
-    if mode is ArchMode.FGDVS:
-        leakage = walk.gated_leakage
+    switching: list[float] = []
+    if price.switching:
         units = [walk.area_by_type[op] for op in walk.ops_by_type]
         switching = switch_charges(walk.ops_by_type.values(), units)
-    else:
-        leakage = [
-            count * lib.levels(op)[idx].p_lk * latency_bound
-            for (op, idx), count in walk.peaks.items()
-        ]
-        switching = []
-    return cost_from_terms(walk.area_by_type, walk.dynamic, leakage, switching, latency_bound)
+    return price.cost(
+        walk.area_by_type, map(itemgetter(2), walk.picked), map(itemgetter(3), walk.picked),
+        walk.peaks.items(), switching, latency_bound,
+    )
 
 
 def _no_worse(a: tuple, b: tuple, eps: float = POWER_EPS) -> bool:

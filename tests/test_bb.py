@@ -1,24 +1,32 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dvsched
 from dvsched import (
     POWER_EPS,
     ArchMode,
     Budget,
     CostTuple,
     ParetoSet,
+    Priority,
     SearchConfig,
     bb_first,
     bb_pareto,
     compute_timing,
     enumerate_schedules,
+    list_schedule,
     load_resource_library,
     oracle_front,
     parse_dfg,
@@ -204,6 +212,33 @@ def test_single_vdd_front_uses_only_fastest_durations(seed):
             assert d == lib.fastest(g.nodes[v]).cycles
 
 
+def test_every_schedule_uses_durations_the_mode_allows():
+    # On random and gapped libraries, in every mode, each schedule that
+    # list_schedule, oracle_front and bb_pareto return uses only the
+    # durations the mode's price table allows, and validates against them.
+    rng = random.Random(11)
+    checked = dict.fromkeys(MODES, 0)
+    for library_text in (support.random_library_text, support.gapped_library_text):
+        for _ in range(12):
+            g, lib = support.random_instance(rng, state_cap=3000, library_text=library_text)
+            for k in (0, 1, 2):
+                t = compute_timing(g, k)
+                for mode in MODES:
+                    allowed = lib.pricing(mode).durations()
+                    scheds = [
+                        list_schedule(g, t, lib, mode, priority=pr) for pr in Priority
+                    ]
+                    scheds += [e.schedule for e in oracle_front(g, t, lib, mode)]
+                    cfg = SearchConfig(mode=mode, emit_first_solution=True)
+                    rep = bb_pareto(g, t, lib, cfg)
+                    scheds += [e.schedule for e in rep.front]
+                    scheds.append(rep.first_solution and rep.first_solution[1])
+                    for s in filter(None, scheds):
+                        assert validate_schedule(g, t, s, allowed) is None
+                        checked[mode] += 1
+    assert all(checked.values())
+
+
 def test_window_shorter_than_fastest_level_gives_empty_complete_report(diffeq, default_lib):
     # At k=0 diffeq's adds 6 and 7 have 1-step windows and the fastest add
     # level takes 2 cycles, so no schedule exists.
@@ -320,6 +355,35 @@ def test_debug_check_raises_on_a_leaf_cost_one_ulp_off(monkeypatch, default_lib)
     monkeypatch.setattr("dvsched.bb.schedule_cost", one_ulp_off)
     with pytest.raises(AssertionError):
         bb_pareto(SMOKE, t, default_lib, cfg)
+
+
+def test_debug_check_raises_under_python_dash_o(default_lib_path):
+    # The same one-ulp-off leaf cost as above, in a python -O process, which
+    # drops every assert statement.
+    script = textwrap.dedent("""
+        import math, sys
+        from dataclasses import replace
+        from dvsched import ArchMode, SearchConfig, bb, compute_timing, load_resource_library, parse_dfg
+        if __debug__:
+            sys.exit("not running under -O")
+        g, lib = parse_dfg(sys.argv[1]), load_resource_library(sys.argv[2])
+        cfg = SearchConfig(mode=ArchMode.FGDVS, debug_check=True, emit_first_solution=True)
+        bb.bb_pareto(g, compute_timing(g, 1), lib, cfg)
+        real = bb.schedule_cost
+        def one_ulp_off(*args):
+            cost = real(*args)
+            return replace(cost, switching=math.nextafter(cost.switching, math.inf))
+        bb.schedule_cost = one_ulp_off
+        bb.bb_pareto(g, compute_timing(g, 1), lib, cfg)
+    """)
+    src = str(Path(dvsched.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, support.SMOKE_DFG, default_lib_path.read_text(encoding="utf-8")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("AssertionError: leaf cost ")
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,26 @@ def test_validate_sidecar_roundtrip(tmp_path, capsys):
     assert out.count(": ok ") == 4  # every front schedule re-validates
 
 
+def test_validate_single_vdd_flags_each_slower_level(tmp_path, capsys):
+    # A compare sidecar holds the fronts of all three modes; under
+    # single-vdd only its level-0 schedules are valid.
+    side = tmp_path / "runs.json"
+    graph = str(bench_path("diffeq"))
+    assert main(["compare", "--dfg", graph, "--lib", LIB, "--k", "1", "--json", str(side)]) == 0
+    capsys.readouterr()
+    rc = main([
+        "validate", "--dfg", graph, "--lib", LIB, "--k", "1",
+        "--mode", "single-vdd", "--schedule", str(side),
+    ])
+    assert rc == 2
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line.split(": ", 1)[1] for line in lines[:-1]]
+    assert len(verdicts) == 10
+    assert sum(v.startswith("ok ") for v in verdicts) == 1
+    assert all(v.startswith(("ok ", "INVALID [duration] ")) for v in verdicts)
+    assert lines[-1] == "9/10 schedules failed validation"
+
+
 def test_validate_flags_broken_schedule(tmp_path, capsys):
     graph = dfg_file(tmp_path, support.TRI_DFG)
     sched = tmp_path / "sched.json"

@@ -65,6 +65,52 @@ def test_default_library_levels(default_lib):
     assert idx == 1 and lv.vdd == 0.78
 
 
+def test_pricing_table_of_default_lib(default_lib):
+    # Rows are (cycles, kind, pdyn*cycles, per-op leak, psw), fastest first;
+    # kinds are (type, always-on leak rate).
+    single = default_lib.pricing(ArchMode.SINGLE_VDD)
+    assert not single.switching
+    assert single.kinds == [("mul", 0.6), ("add", 0.25), ("comp", 0.15)]
+    assert single.rows("mul") == {1: (1, 0, 16.0, 0.0, 1.5)}
+    assert single.rows("add") == {1: (1, 1, 6.0, 0.0, 0.5)}
+    assert single.rows("comp") == {1: (1, 2, 4.0, 0.0, 0.35)}
+    assert single.durations() == {op: frozenset({1}) for op in ("mul", "add", "comp")}
+
+    multi = default_lib.pricing(ArchMode.MULTI_VDD)
+    assert not multi.switching
+    assert multi.kinds == [
+        ("mul", 0.6), ("mul", 0.4), ("mul", 0.3),
+        ("add", 0.25), ("add", 0.17), ("add", 0.12),
+        ("comp", 0.15), ("comp", 0.1), ("comp", 0.08),
+    ]
+    assert list(multi.rows("mul").items()) == [
+        (1, (1, 0, 16.0, 0.0, 1.5)), (2, (2, 1, 4.87 * 2, 0.0, 1.5)), (3, (3, 2, 2.47 * 3, 0.0, 1.5)),
+    ]
+    assert [row[1] for row in multi.rows("add").values()] == [3, 4, 5]
+    assert [row[1] for row in multi.rows("comp").values()] == [6, 7, 8]
+
+    fgdvs = default_lib.pricing(ArchMode.FGDVS)
+    assert fgdvs.switching
+    assert fgdvs.kinds == [("mul", 0.0), ("add", 0.0), ("comp", 0.0)]
+    assert list(fgdvs.rows("mul").items()) == [
+        (1, (1, 0, 16.0, 0.6, 1.5)),
+        (2, (2, 0, 4.87 * 2, 0.4 * 2, 1.5)),
+        (3, (3, 0, 2.47 * 3, 0.3 * 3, 1.5)),
+    ]
+    assert list(fgdvs.rows("comp").values()) == [
+        (1, 2, 4.0, 0.15, 0.35), (2, 2, 1.22 * 2, 0.1 * 2, 0.35), (3, 2, 0.62 * 3, 0.08 * 3, 0.35),
+    ]
+    assert fgdvs.durations() == multi.durations() == default_lib.allowed_durations()
+    assert default_lib.pricing(ArchMode.FGDVS) is fgdvs  # built once per mode
+
+    with pytest.raises(LibraryError, match="op type 'div' is not in the library"):
+        multi.rows("div")
+    with pytest.raises(LibraryError, match="^node 4: duration 2 is not the level-0 cycle count for 'mul' in single-vdd mode$"):
+        single.lookup(4, "mul", 2)
+    with pytest.raises(LibraryError, match="^no 'mul' level takes 4 cycles$"):
+        fgdvs.lookup(4, "mul", 4)
+
+
 def test_library_single_level_type_is_valid():
     lib = load_resource_library(
         "type mul\nlevel vdd=1.0 cycles=1 pdyn=5 plk=0.5 psw=1\n"
@@ -294,13 +340,14 @@ def test_schedule_cost_looks_up_each_level_once(mode, default_lib_path, diffeq):
     t = compute_timing(diffeq, 1)
     s = list_schedule(diffeq, t, lib, mode, priority=Priority.MAX_DURATION)
     lookups = []
-    real = lib.level_for
+    price = lib.pricing(mode)
+    real = price.lookup
 
-    def counted(op: str, cycles: int):
+    def counted(nid: int, op: str, cycles: int):
         lookups.append((op, cycles))
-        return real(op, cycles)
+        return real(nid, op, cycles)
 
-    lib.level_for = counted
+    price.lookup = counted
     schedule_cost(diffeq, s, lib, mode, t.latency_bound)
     assert len(lookups) == len(s)
 
