@@ -18,7 +18,9 @@ for the placed nodes that still constrain unplaced ones, and the same unit
 counts and usage histograms wherever unplaced nodes can still add to
 them.  Equal states have the same completions at the same added cost, so
 the cut changes no result.  States are packed into bytes and held in two
-generations of STATE_GENERATION entries each.  FGDVS is left out: its
+generations of STATE_GENERATION entries each.  A position whose lookups do
+not pay for themselves stops being looked up (see GATE_WARMUP); a skipped
+lookup cuts nothing, so this too changes no result.  FGDVS is left out: its
 switching charge depends on how every op binds, which the state does not
 capture.
 
@@ -78,6 +80,17 @@ FirstSolution = tuple[CostTuple, Schedule, float]
 # generation fills up it replaces the older one, so at most twice this many
 # states are held; which states are kept changes the work, never a result.
 STATE_GENERATION = 2048
+# The state cut's per-position gate.  At each power-of-two count of
+# lookups at a position, from GATE_WARMUP on, the position keeps being
+# looked up only while its lookups save at least LOOKUP_COST expansions
+# each: hits / lookups * (expansions walked per miss) >= LOOKUP_COST.  A
+# lookup (packing the key and probing the table) costs about as much wall
+# time as 2 expansions of the unkeyed walk.  Gated-off positions neither
+# look up nor store states, so they also stop pushing useful states out of
+# the table.  The decisions depend only on counts, so every counter stays
+# deterministic.
+GATE_WARMUP = 256
+LOOKUP_COST = 2
 _NEVER = float("inf")  # the power of a state not yet seen
 
 
@@ -89,6 +102,7 @@ class SearchReport:
     budget_prunes: int
     dominance_prunes: int
     state_prunes: int
+    state_lookups: int  # states looked up in the state cut's table
     leaves: int  # complete schedules the walk reached and costed
     completed: bool
     elapsed: float
@@ -153,7 +167,7 @@ def _run(
         # Some node's window is shorter than its fastest level, or some type
         # in the graph may have no unit: no schedule exists, so the search
         # is complete before it starts.
-        return SearchReport(ParetoSet(), None, 0, 0, 0, 0, 0, completed=True, elapsed=0.0)
+        return SearchReport(ParetoSet(), None, 0, 0, 0, 0, 0, 0, completed=True, elapsed=0.0)
     power_cap = cfg.budget.power_cap
 
     # The positions of each type, whose ops the FGDVS binder takes per type.
@@ -234,7 +248,7 @@ def _run(
 
     front = ParetoSet()
     archive_pts = front.points  # (area, power) per member, kept in place by insert
-    expanded = budget_prunes = dominance_prunes = state_prunes = leaves = 0
+    expanded = budget_prunes = dominance_prunes = leaves = 0
     states: dict[bytes, float] = {}  # state key -> least cur_power seen with it
     older: dict[bytes, float] = {}  # the previous generation of states
     cur_area, cur_power = 0, 0.0  # the placed prefix's area and dyn+leak power
@@ -304,8 +318,37 @@ def _run(
         # offered to the front.
         return seen <= cur_power
 
+    # Per position: [lookups, hits (each a state prune), expansions walked
+    # under misses, the lookup count of the next gate test]; gate[p] is
+    # None once p is gated off.
+    tallies = [[0, 0, 0, GATE_WARMUP] for _ in range(n + 1)] if state_cut else []
+    gate: list[list[int] | None] = list(tallies)
+
+    def cut_or_walk(p: int) -> None:
+        """Walk the subtree of the prefix 0..p-1 unless the state cut takes
+        it.  Kept out of rec, whose body runs on every expansion."""
+        tally = gate[p]
+        if tally is None:
+            rec(p)
+            return
+        looked, hit, below, test_at = tally
+        if looked == test_at:
+            # Every earlier miss at p has been walked: a path holds p once.
+            if hit * below < LOOKUP_COST * looked * (looked - hit):
+                gate[p] = None
+                rec(p)
+                return
+            tally[3] = 2 * test_at
+        tally[0] = looked + 1
+        if seen_state(p):
+            tally[1] = hit + 1  # a state prune
+            return
+        before = expanded
+        rec(p)
+        tally[2] += expanded - before
+
     def rec(i: int) -> None:
-        nonlocal expanded, budget_prunes, dominance_prunes, state_prunes
+        nonlocal expanded, budget_prunes, dominance_prunes
         nonlocal cur_area, cur_power
         if deadline is not None and time.perf_counter() > deadline:
             raise _TimeUp
@@ -366,11 +409,8 @@ def _run(
                             dominance_prunes += 1
                             pruned = True
                             break
-                    if not pruned and state_cut and seen_state(i + 1):
-                        state_prunes += 1
-                        pruned = True
                 if not pruned:
-                    rec(i + 1)
+                    descend(i + 1)
                 # Undo.
                 for step in range(t, t + dur):
                     row[step] -= 1
@@ -378,6 +418,8 @@ def _run(
                 type_area[ti] = old_type_area
                 cur_area = old_area
                 cur_power = old_power
+
+    descend = cut_or_walk if state_cut else rec
 
     if not cfg.emit_first_solution:
         # Seed the archive with the two list-scheduling extremes so the
@@ -394,10 +436,11 @@ def _run(
                 if cfg.budget.allows(cost.area_by_type, cost.power):
                     front.insert(cost, seed)
 
-    # The walk recurses once per position; lend it that depth on top of the
-    # caller's allowance so deep graphs (long chains) complete.
+    # The walk recurses once per position, twice through cut_or_walk; lend
+    # it that depth on top of the caller's allowance so deep graphs (long
+    # chains) complete.
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + n + 100)
+    sys.setrecursionlimit(limit + 2 * n + 100)
     completed = True
     try:
         rec(0)
@@ -407,9 +450,10 @@ def _run(
         pass
     finally:
         sys.setrecursionlimit(limit)
-        # rec's closure holds rec itself; emptying that cell frees the search
-        # state when _run returns instead of at the next cyclic collection.
-        del rec
+        # rec's closure holds rec itself, and through descend cut_or_walk;
+        # emptying those cells frees the search state when _run returns
+        # instead of at the next cyclic collection.
+        del rec, descend
     elapsed = time.perf_counter() - t0
     return SearchReport(
         front=front,
@@ -417,7 +461,8 @@ def _run(
         nodes_expanded=expanded,
         budget_prunes=budget_prunes,
         dominance_prunes=dominance_prunes,
-        state_prunes=state_prunes,
+        state_prunes=sum(tally[1] for tally in tallies),
+        state_lookups=sum(tally[0] for tally in tallies),
         leaves=leaves,
         completed=completed,
         elapsed=elapsed,

@@ -201,15 +201,22 @@ def _front_json(front: ParetoSet) -> list[dict]:
     ]
 
 
-def _report_json(report: SearchReport) -> dict:
-    data = {
-        "completed": report.completed,
-        "elapsed": report.elapsed,
+def _counters_json(report: SearchReport) -> dict:
+    return {
         "nodes_expanded": report.nodes_expanded,
         "budget_prunes": report.budget_prunes,
         "dominance_prunes": report.dominance_prunes,
         "state_prunes": report.state_prunes,
+        "state_lookups": report.state_lookups,
         "leaves": report.leaves,
+    }
+
+
+def _report_json(report: SearchReport) -> dict:
+    data = {
+        "completed": report.completed,
+        "elapsed": report.elapsed,
+        **_counters_json(report),
         "front_size": len(report.front),
         "front": _front_json(report.front),
     }
@@ -402,11 +409,11 @@ def cmd_budget(args: argparse.Namespace) -> int:
     else:  # bb-first
         cfg = SearchConfig(mode=mode, budget=budget, time_limit=args.time_limit)
         report = bb_first(g, timing, lib, cfg)
+        base.update(completed=report.completed, **_counters_json(report))
         if report.first_solution is None:
             if not report.completed:
                 print("no schedule found before the time limit", file=sys.stderr)
-                data = {**base, "completed": False, "elapsed": report.elapsed}
-                return _emit(args, data, completed=False)
+                return _emit(args, {**base, "elapsed": report.elapsed}, completed=False)
             print(f"{g.name}: NONE")
             return _emit(args, {**base, "feasible": False})
         cost, schedule, elapsed = report.first_solution

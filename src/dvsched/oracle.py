@@ -35,15 +35,24 @@ class StateSpaceTooLarge(ValueError):
         self.bound = bound
 
 
-def state_space_estimate(g: Dfg, timing: TimingInfo, lib: ResourceLibrary) -> int:
-    """Product over nodes of (mobility + 1) * level count.
+def state_space_estimate(
+    g: Dfg,
+    timing: TimingInfo,
+    lib: ResourceLibrary,
+    durations: dict[str, frozenset[int]] | None = None,
+) -> int:
+    """Product over nodes of (mobility + 1) * duration count.
 
     An upper bound on the number of complete assignments: each node has at
-    most (mobility + 1) starts and one duration choice per library level.
+    most (mobility + 1) starts and one choice per duration its type may
+    take, by default every library level's.
     """
+    if durations is None:
+        durations = lib.allowed_durations()
     estimate = 1
-    for v in g.nodes:
-        estimate *= (timing.mobility[v] + 1) * len(lib.levels(g.nodes[v]))
+    for v, op in g.nodes.items():
+        lib.levels(op)  # raises LibraryError for a type not in the library
+        estimate *= (timing.mobility[v] + 1) * len(durations[op])
     return estimate
 
 
@@ -52,14 +61,18 @@ def enumerate_schedules(
     timing: TimingInfo,
     lib: ResourceLibrary,
     bound: EnumerationBound = EnumerationBound(),
+    durations: dict[str, frozenset[int]] | None = None,
 ) -> Iterator[Schedule]:
     """Yield every valid complete schedule exactly once (streaming).
 
     Validity matches validate_schedule: starts within [asap, alap] windows,
-    durations are library cycle counts fitting the window, and every edge's
-    target starts after its source completes.
+    durations are in ``durations`` (by default every library level's cycle
+    count) and fit the window, and every edge's target starts after its
+    source completes.
     """
-    estimate = state_space_estimate(g, timing, lib)
+    if durations is None:
+        durations = lib.allowed_durations()
+    estimate = state_space_estimate(g, timing, lib, durations)
     if len(g.nodes) > bound.max_nodes or estimate > bound.max_states:
         raise StateSpaceTooLarge(len(g.nodes), estimate, bound)
 
@@ -69,7 +82,7 @@ def enumerate_schedules(
     for nid in ids:
         window: list[tuple[int, int]] = []
         for start in range(timing.asap[nid], timing.alap[nid] + 1):
-            for dur in lib.cycle_counts(g.nodes[nid]):
+            for dur in durations[g.nodes[nid]]:
                 if start + dur - 1 <= timing.alap[nid]:
                     window.append((start, dur))
         options.append(sorted(window))
@@ -118,14 +131,12 @@ def oracle_front(
 ) -> ParetoSet:
     """Exact pareto front by exhaustive enumeration and folding.
 
-    Schedules with a duration the mode may not use (under SINGLE_VDD, any
-    level but level 0) are skipped rather than costed.
+    Only the durations the mode may use are enumerated (under SINGLE_VDD,
+    level 0's), and the size caps apply to that space.
     """
     front = ParetoSet()
-    allowed = lib.pricing(mode).durations()
-    for schedule in enumerate_schedules(g, timing, lib, bound):
-        if any(dur not in allowed[g.nodes[nid]] for nid, (_s, dur) in schedule.items()):
-            continue
+    durations = lib.pricing(mode).durations()
+    for schedule in enumerate_schedules(g, timing, lib, bound, durations):
         cost = schedule_cost(g, schedule, lib, mode, timing.latency_bound)
         if budget.allows(cost.area_by_type, cost.power):
             front.insert(cost, schedule)

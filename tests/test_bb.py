@@ -281,13 +281,13 @@ def pinned(test_id, name, k, mode, counters, budget=Budget(), first=None):
         pinned("ewf-0-ArchMode.FGDVS-5600", "ewf", 0, ArchMode.FGDVS,
                (5_600, 0, 1_393, 0)),
         pinned("volterra-0-ArchMode.MULTI_VDD-117426", "volterra", 0, ArchMode.MULTI_VDD,
-               (45_286, 0, 31_712, 1_837)),
+               (40_050, 0, 27_743, 1_773)),
         pinned("diffeq-1-ArchMode.FGDVS-8558", "diffeq", 1, ArchMode.FGDVS,
                (8_558, 0, 5_387, 0)),
         pinned("diffeq-2-ArchMode.FGDVS-23262", "diffeq", 2, ArchMode.FGDVS,
                (23_262, 12_361, 4_674, 0), Budget(area_caps={"mul": 2, "add": 1, "comp": 1})),
         pinned("fir-1-ArchMode.MULTI_VDD-19466", "fir", 1, ArchMode.MULTI_VDD,
-               (3_824, 797, 64, 1_500), Budget(power_cap=230), first=(3_390, 855, 0, 1_302)),
+               (4_043, 866, 75, 1_420), Budget(power_cap=230), first=(3_563, 947, 0, 1_214)),
     ],
 )
 def test_expansion_counts_pinned(default_lib, name, k, mode, budget, counters, first_counters):
@@ -392,23 +392,26 @@ def test_debug_check_raises_under_python_dash_o(default_lib_path):
 
 def _answers(g, t, lib, cfg) -> tuple:
     """What a search answers: the front with its kept schedules, the first
-    solution bb_pareto reports, and bb_first's hit (times left out)."""
-    rep = bb_pareto(g, t, lib, cfg)
-    emit = bb_pareto(g, t, lib, replace(cfg, emit_first_solution=True)).first_solution
-    hit = bb_first(g, t, lib, cfg).first_solution
+    solution bb_pareto reports, and bb_first's hit (times left out); and
+    the three searches' state prunes and state lookups."""
+    reps = [
+        bb_pareto(g, t, lib, cfg),
+        bb_pareto(g, t, lib, replace(cfg, emit_first_solution=True)),
+        bb_first(g, t, lib, cfg),
+    ]
+    rep, emit, hit = reps[0], reps[1].first_solution, reps[2].first_solution
     return (
         rep.completed,
         [(e.cost, e.schedule) for e in rep.front.sorted_entries()],
         emit and emit[:2],
         hit and hit[:2],
-    ), rep.state_prunes
+    ), (sum(r.state_prunes for r in reps), sum(r.state_lookups for r in reps))
 
 
-@pytest.mark.parametrize("generation", [1, 7])
-def test_state_table_eviction_changes_no_answer(monkeypatch, generation):
-    # The cut is exact whichever states the table still holds: a table of
-    # 1 or 7 entries per generation, which evicts almost everything, gives
-    # the same answers as the default size.
+@pytest.fixture(scope="module")
+def state_cut_corpus() -> list[tuple]:
+    """Random single-vdd and multi-vdd searches: no budget, area caps and a
+    power cap."""
     rng = random.Random(13)
     cases = []
     for j in range(24):
@@ -426,11 +429,46 @@ def test_state_table_eviction_changes_no_answer(monkeypatch, generation):
                         Budget(power_cap=ref.power * rng.uniform(0.9, 1.1)),
                     ]
                 cases += [(g, t, lib, SearchConfig(mode=mode, budget=b)) for b in budgets]
-    want = [_answers(*case) for case in cases]
+    return cases
+
+
+@pytest.mark.parametrize("generation", [1, 7])
+def test_state_table_eviction_changes_no_answer(monkeypatch, state_cut_corpus, generation):
+    # The cut is exact whichever states the table still holds: a table of
+    # 1 or 7 entries per generation, which evicts almost everything, gives
+    # the same answers as the default size.
+    want = [_answers(*case) for case in state_cut_corpus]
     monkeypatch.setattr("dvsched.bb.STATE_GENERATION", generation)
-    got = [_answers(*case) for case in cases]
+    got = [_answers(*case) for case in state_cut_corpus]
     assert [a for a, _ in got] == [a for a, _ in want]
-    assert sum(p for _, p in want) > sum(p for _, p in got) > 0
+    assert sum(c[0] for _, c in want) > sum(c[0] for _, c in got) > 0
+
+
+def test_state_gate_changes_no_answer(monkeypatch, state_cut_corpus):
+    # A position the gate turns off is no longer looked up, which cuts
+    # nothing: gating at the first lookup count (warm-up 1) or never gives
+    # the same answers, with fewer lookups.
+    monkeypatch.setattr("dvsched.bb.GATE_WARMUP", 1 << 62)
+    never = [_answers(*case) for case in state_cut_corpus]
+    monkeypatch.setattr("dvsched.bb.GATE_WARMUP", 1)
+    eager = [_answers(*case) for case in state_cut_corpus]
+    assert [a for a, _ in eager] == [a for a, _ in never]
+    assert 0 < sum(c[1] for _, c in eager) < sum(c[1] for _, c in never)
+
+
+def test_state_gate_turns_off_positions_whose_lookups_do_not_pay(monkeypatch, default_lib):
+    # On volterra k=0 multi-vdd some positions hit too rarely, or guard too
+    # little work per miss, to pay for their lookups; the gate stops them,
+    # and the search then walks fewer expansions.
+    g = load_bench("volterra")
+    t = compute_timing(g, 0)
+    cfg = SearchConfig(mode=ArchMode.MULTI_VDD)
+    gated = bb_pareto(g, t, default_lib, cfg)
+    monkeypatch.setattr("dvsched.bb.GATE_WARMUP", 1 << 62)
+    ungated = bb_pareto(g, t, default_lib, cfg)
+    assert gated.front.cost_points() == ungated.front.cost_points()
+    assert gated.state_lookups < ungated.state_lookups
+    assert gated.nodes_expanded < ungated.nodes_expanded
 
 
 def test_state_cut_runs_only_where_it_is_exact(default_lib):

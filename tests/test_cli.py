@@ -263,15 +263,29 @@ def test_budget_bb_first_beats_list_on_defer(tmp_path, capsys):
     data = json.loads(side.read_text())
     assert data["feasible"] is True and data["area"] == 1
     assert data["schedule"] == {"1": [1, 1], "2": [2, 1], "3": [3, 1]}
+    assert search_counters(data) == (True, 8, 5, 0, 0, 1)
+
+
+def search_counters(data: dict) -> tuple:
+    """(completed, nodes_expanded, budget_prunes, dominance_prunes,
+    state_prunes, leaves) of a sidecar."""
+    keys = ("completed", "nodes_expanded", "budget_prunes", "dominance_prunes",
+            "state_prunes", "leaves")
+    return tuple(data[key] for key in keys)
 
 
 def test_budget_bb_first_none(tmp_path, capsys):
+    side = tmp_path / "none.json"
     rc = main([
         "budget", "--dfg", dfg_file(tmp_path, support.TRI_DFG), "--lib", LIB,
-        "--k", "2", "--algorithm", "bb-first", "--power-budget", "5",
+        "--k", "2", "--algorithm", "bb-first", "--power-budget", "5", "--json", str(side),
     ])
     assert rc == 0
     assert "tri: NONE" in capsys.readouterr().out
+    data = json.loads(side.read_text())
+    assert data["feasible"] is False
+    completed, expanded, budget_prunes, *_ = search_counters(data)
+    assert completed and expanded == budget_prunes > 0  # every placement breaks the cap
 
 
 def test_budget_bb_prints_constrained_front(tmp_path, capsys):
@@ -308,9 +322,16 @@ def test_budget_bb_first_time_limit_writes_sidecar(tmp_path, capsys):
     assert rc == 4
     data = json.loads(side.read_text())
     assert data.pop("elapsed") >= 0.2
+    completed, expanded, *_prunes, state_prunes, _leaves = search_counters(data)
+    assert not completed and expanded > 0 and state_prunes == 0  # fgdvs has no state cut
     assert data == {
         "command": "budget", "dfg": "volterra", "mode": "fgdvs", "k": 1,
-        "algorithm": "bb-first", "completed": False,
+        "algorithm": "bb-first", "completed": False, **{
+            key: data[key] for key in (
+                "nodes_expanded", "budget_prunes", "dominance_prunes", "state_prunes",
+                "state_lookups", "leaves",
+            )
+        },
     }
 
 
@@ -348,14 +369,21 @@ def test_budget_bb_first_on_a_deep_chain(tmp_path, capsys):
 
 
 def test_pareto_emit_first_on_a_deep_chain(tmp_path, capsys):
+    # --emit-first seeds nothing, so the walk goes the whole depth; under
+    # single-vdd and multi-vdd it takes two frames per node (rec and the
+    # state cut's lookup).
     side = tmp_path / "chain.json"
-    rc = main([
-        "pareto", "--dfg", dfg_file(tmp_path, chain_dfg(1500)), "--lib", LIB,
-        "--emit-first", "--json", str(side),
-    ])
-    assert rc == 0
-    assert "front=1" in capsys.readouterr().out
-    assert json.loads(side.read_text())["first_solution"]["area"] == 1
+    graph = dfg_file(tmp_path, chain_dfg(1500))
+    for mode in ("fgdvs", "single-vdd", "multi-vdd"):
+        for emit in (["--emit-first"], []):
+            rc = main(["pareto", "--dfg", graph, "--lib", LIB, "--mode", mode, *emit,
+                       "--json", str(side)])
+            assert rc == 0, (mode, emit)
+            assert "front=1" in capsys.readouterr().out
+            data = json.loads(side.read_text())
+            if emit:
+                assert data["first_solution"]["area"] == 1
+                assert data["nodes_expanded"] == 1500
 
 
 def test_state_cut_on_graphs_past_255_steps_and_nodes(tmp_path, capsys):
@@ -395,6 +423,16 @@ def test_oracle_cmd_refuses_large_graph(capsys):
     rc = main(["oracle", "--dfg", str(bench_path("diffeq")), "--lib", LIB])
     assert rc == 3
     assert "enumeration refused" in capsys.readouterr().err
+
+
+def test_oracle_cmd_caps_only_the_modes_durations(tmp_path):
+    # Under single-vdd only level 0 is enumerated: all levels would be
+    # ~13.06e9 assignments on diffeq at k=1, level 0 alone is ~74k.
+    a, b = tmp_path / "oracle.csv", tmp_path / "bb.csv"
+    flags = ["--dfg", str(bench_path("diffeq")), "--lib", LIB, "--k", "1", "--mode", "single-vdd"]
+    assert main(["oracle", *flags, "--max-nodes", "11", "--out", str(a)]) == 0
+    assert main(["pareto", *flags, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_oracle_cmd_cap_override(tmp_path):
@@ -580,16 +618,20 @@ def under(prefix: str, keys: set[str]) -> set[str]:
 
 
 FRONT = {"area", "area_by_type", "dynamic", "latency", "leakage", "power", "schedule", "switching"}
+COUNTERS = {
+    "budget_prunes", "dominance_prunes", "leaves", "nodes_expanded", "state_lookups",
+    "state_prunes",
+}
 REPORT = {
-    "budget_prunes", "completed", "dominance_prunes", "elapsed", "front", "front_size",
-    "leaves", "nodes_expanded", "state_prunes",
+    "completed", "elapsed", "front", "front_size", *COUNTERS,
 } | under("front[]", FRONT)
 SCHEDULE = {
     "algorithm", "area", "command", "dfg", "elapsed", "feasible", "k", "mode", "power",
     "schedule",
 }
 
-# The key sets each subcommand wrote before the CLI shared one output path.
+# The key sets each subcommand wrote before the CLI shared one output path,
+# with the search counters added since.
 SIDECAR_KEYS = {
     "pareto": {"command", "dfg", "k", "latency_bound", "mode", "first_solution", *REPORT}
     | under("first_solution", {"area", "elapsed", "power", "schedule"}),
@@ -603,7 +645,7 @@ SIDECAR_KEYS = {
     | under("runs[]", {"k", "latency_bound", *REPORT})
     | under("front3[]", {"area", "k", "latency", "power", "schedule"}),
     "budget-list": SCHEDULE,
-    "budget-bb-first": SCHEDULE,
+    "budget-bb-first": {"completed", *SCHEDULE, *COUNTERS},
     "budget-bb": {"algorithm", "command", "dfg", "k", "mode", *REPORT},
     "oracle": {"command", "dfg", "front", "front_size", "k", "latency_bound", "mode"}
     | under("front[]", FRONT),

@@ -11,6 +11,7 @@ from dvsched import (
     ArchMode,
     Budget,
     EnumerationBound,
+    LibraryError,
     StateSpaceTooLarge,
     compute_timing,
     enumerate_schedules,
@@ -101,6 +102,28 @@ def test_enumeration_is_valid_unique_and_complete():
         seen.add(key)
         assert validate_schedule(g, t, s, allowed) is None
     assert len(seen) == 36
+
+
+def test_durations_map_restricts_the_enumeration_in_order():
+    # A per-type durations map enumerates exactly the default enumeration's
+    # schedules that use only those durations, in the same order, and the
+    # estimate counts only those durations.
+    g = parse_dfg(CHAIN)
+    t = compute_timing(g, 2)
+    slow = {"mul": frozenset({2, 3})}
+    want = [s for s in enumerate_schedules(g, t, TINY)
+            if all(d in slow["mul"] for _start, d in s.values())]
+    assert list(enumerate_schedules(g, t, TINY, durations=slow)) == want
+    assert state_space_estimate(g, t, TINY, slow) == (3 * 2) ** 2
+    assert state_space_estimate(g, t, TINY, TINY.allowed_durations()) == (3 * 3) ** 2
+
+
+def test_type_missing_from_the_library_is_a_library_error():
+    g = parse_dfg("name x\nnode 1 div\n")
+    t = compute_timing(g, 0)
+    for mode in ArchMode:
+        with pytest.raises(LibraryError, match="op type 'div' is not in the library"):
+            oracle_front(g, t, TINY, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ print(json.dumps({
     "completed": rep.completed, "seconds": rep.elapsed, "expanded": rep.nodes_expanded,
     "budget_prunes": rep.budget_prunes, "dominance_prunes": rep.dominance_prunes,
     "state_prunes": getattr(rep, "state_prunes", None), "leaves": getattr(rep, "leaves", None),
+    "state_lookups": getattr(rep, "state_lookups", None),
     "front": rep.front.cost_points(),
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
