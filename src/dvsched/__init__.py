@@ -43,9 +43,6 @@ from .power import (
     ParetoSet,
     ResourceLibrary,
     VoltageLevel,
-    area_of,
-    cost_equal,
-    dominates,
     load_resource_library,
     schedule_cost,
 )
@@ -74,12 +71,9 @@ __all__ = [
     "TimingInfo",
     "VoltageLevel",
     "Violation",
-    "area_of",
     "bb_first",
     "bb_pareto",
     "compute_timing",
-    "cost_equal",
-    "dominates",
     "enumerate_schedules",
     "list_schedule",
     "load_resource_library",

@@ -9,7 +9,10 @@ the unplaced suffix must still pay: each remaining op's cheapest energy
 among levels that fit the op's window, and one unit (with its always-on
 leakage, outside FGDVS) for each op type whose first node is still to
 come.  Every bound term that depends only on the position is tabled once
-before the walk.
+before the walk.  The walk is one loop over an explicit stack with an
+entry per placed position, so a graph's depth is bounded by memory, not by
+the interpreter's recursion limit; a time-out or, for ``bb_first``, the
+first solution ends the loop.
 
 Under single-vdd and multi-vdd a prefix is also cut when an earlier
 prefix of the same length reached the same state at no higher power (a
@@ -40,7 +43,6 @@ front does not already cover.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from operator import getitem, itemgetter
@@ -106,14 +108,6 @@ class SearchReport:
     leaves: int  # complete schedules the walk reached and costed
     completed: bool
     elapsed: float
-
-
-class _TimeUp(Exception):
-    pass
-
-
-class _StopSearch(Exception):
-    pass
 
 
 def _run(
@@ -259,9 +253,9 @@ def _run(
     if cfg.time_limit is not None:
         deadline = t0 + cfg.time_limit
 
-    def handle_leaf() -> None:
+    def handle_leaf() -> bool:
         """Cost the complete schedule in starts/durs from the walk's state
-        and offer it to the front."""
+        and offer it to the front; True when the search should stop."""
         nonlocal first, leaves
         leaves += 1
         picked = list(map(getitem, rows_at, durs))
@@ -281,23 +275,25 @@ def _run(
             if cost != want:
                 raise AssertionError(f"leaf cost {cost} != schedule_cost {want} for {sched}")
         if not cfg.budget.allows(cost.area_by_type, cost.power):
-            return
+            return False
         if first is None:
             first = (cost, schedule(), time.perf_counter() - t0)
             if stop_after_first:
-                raise _StopSearch
+                return True
         if not front.covers(cost):
             front.insert(cost, schedule())
+        return False
 
     def schedule() -> Schedule:
         return {order[j]: (starts[j], durs[j]) for j in range(n)}
 
-    def seen_state(p: int) -> bool:
+    def seen_state(p: int, area: int, power: float) -> bool:
         """Whether an earlier prefix reached this prefix's state (positions
-        0..p-1 placed) at no higher power.  Either way the state goes into
-        the newer generation with the lower of the two powers."""
+        0..p-1 placed, with this area and power) at no higher power.  Either
+        way the state goes into the newer generation with the lower of the
+        two powers."""
         nonlocal states, older
-        vals = [p, cur_area]
+        vals = [p, area]
         for u, floor in frontier[p]:
             end = starts[u] + durs[u]
             vals.append(end if end > floor else floor)
@@ -310,116 +306,44 @@ def _run(
             seen = older.get(key, _NEVER)
             if len(states) >= generation:
                 older, states = states, {}
-            states[key] = seen if seen <= cur_power else cur_power
-        elif seen > cur_power:
-            states[key] = cur_power
+            states[key] = seen if seen <= power else power
+        elif seen > power:
+            states[key] = power
         # Exact compare: every completion of this prefix costs no less than
         # the same completion of the earlier one, whose leaves were all
         # offered to the front.
-        return seen <= cur_power
+        return seen <= power
 
     # Per position: [lookups, hits (each a state prune), expansions walked
     # under misses, the lookup count of the next gate test]; gate[p] is
-    # None once p is gated off.
+    # None once p is gated off, and always without the state cut.
     tallies = [[0, 0, 0, GATE_WARMUP] for _ in range(n + 1)] if state_cut else []
-    gate: list[list[int] | None] = list(tallies)
+    gate: list[list[int] | None] = list(tallies) if state_cut else [None] * (n + 1)
 
-    def cut_or_walk(p: int) -> None:
-        """Walk the subtree of the prefix 0..p-1 unless the state cut takes
-        it.  Kept out of rec, whose body runs on every expansion."""
-        tally = gate[p]
-        if tally is None:
-            rec(p)
-            return
-        looked, hit, below, test_at = tally
-        if looked == test_at:
-            # Every earlier miss at p has been walked: a path holds p once.
-            if hit * below < LOOKUP_COST * looked * (looked - hit):
-                gate[p] = None
-                rec(p)
-                return
-            tally[3] = 2 * test_at
-        tally[0] = looked + 1
-        if seen_state(p):
-            tally[1] = hit + 1  # a state prune
-            return
-        before = expanded
-        rec(p)
-        tally[2] += expanded - before
+    # A move is (start, duration, kind, energy).  Per type and start, its
+    # moves fastest first, one set of tuples for all the type's positions.
+    step_moves = {
+        op: [tuple((t, cycles, kind, dyn + leak) for cycles, kind, dyn, leak, _psw in rows.values())
+             for t in range(bound + 1)]
+        for op, rows in usable.items()
+    }
+    moves_at = [step_moves[g.nodes[v]] for v in order]
+    # Per position and earliest start, the moves in walk order: starts
+    # ascending, then fastest first, each duration fitting before alap.
+    # Built the first time they are reached.  A parent ends no later than
+    # its child's alap, so every earliest start has a slot.
+    tables: list[list[tuple[tuple[int, int, int, float], ...] | None]] = [
+        [None] * (alap_a[i] - asap_a[i] + 1) for i in range(n)
+    ]
 
-    def rec(i: int) -> None:
-        nonlocal expanded, budget_prunes, dominance_prunes
-        nonlocal cur_area, cur_power
-        if deadline is not None and time.perf_counter() > deadline:
-            raise _TimeUp
-        if i == n:
-            handle_leaf()
-            return
-        earliest = asap_a[i]
-        for p in parents[i]:
-            end = starts[p] + durs[p]
-            if end > earliest:
-                earliest = end
+    def moves(i: int, earliest: int) -> tuple[tuple[int, int, int, float], ...]:
         latest = alap_a[i]
-        for t in range(earliest, latest + 1):
-            room = latest - t + 1
-            for dur, kind, energy in options[i]:
-                if dur > room:
-                    break  # durations ascend; nothing later fits either
-                # Place.
-                row = hist[kind]
-                old_max = cur_max[kind]
-                peak = old_max
-                for step in range(t, t + dur):
-                    row[step] += 1
-                    if row[step] > peak:
-                        peak = row[step]
-                old_area = cur_area
-                old_power = cur_power
-                ti = kind_type[kind]
-                old_type_area = type_area[ti]
-                if peak > old_max:
-                    grew = peak - old_max
-                    cur_max[kind] = peak
-                    type_area[ti] += grew
-                    cur_area = old_area + grew
-                    cur_power = old_power + energy + unit_leak[kind] * grew
-                else:
-                    cur_power = old_power + energy
-                starts[i] = t
-                durs[i] = dur
-                expanded += 1
-                # Prune or descend: bound what any completion must cost.
-                leaks = unstarted[i + 1]
-                lb_area = cur_area + len(leaks)
-                lb_power = cur_power + suffix_energy[i + 1]
-                for leak in leaks:
-                    lb_power += leak
-                pruned = False
-                if caps is not None and type_area[ti] > caps[ti]:
-                    budget_prunes += 1
-                    pruned = True
-                elif power_cap is not None and lb_power > power_cap + POWER_EPS:
-                    budget_prunes += 1
-                    pruned = True
-                elif prune_dom:
-                    # front.covers on the bound, inlined: this runs on every expansion.
-                    for am, pm in archive_pts:
-                        if am <= lb_area and pm <= lb_power + POWER_EPS:
-                            dominance_prunes += 1
-                            pruned = True
-                            break
-                if not pruned:
-                    descend(i + 1)
-                # Undo.
-                for step in range(t, t + dur):
-                    row[step] -= 1
-                cur_max[kind] = old_max
-                type_area[ti] = old_type_area
-                cur_area = old_area
-                cur_power = old_power
-
-    descend = cut_or_walk if state_cut else rec
+        at = moves_at[i]
+        table = tuple(
+            move for t in range(earliest, latest + 1) for move in at[t] if move[1] <= latest - t + 1
+        )
+        tables[i][earliest - asap_a[i]] = table
+        return table
 
     if not cfg.emit_first_solution:
         # Seed the archive with the two list-scheduling extremes so the
@@ -436,24 +360,127 @@ def _run(
                 if cfg.budget.allows(cost.area_by_type, cost.power):
                     front.insert(cost, seed)
 
-    # The walk recurses once per position, twice through cut_or_walk; lend
-    # it that depth on top of the caller's allowance so deep graphs (long
-    # chains) complete.
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 2 * n + 100)
+    # The walk: one loop over an explicit stack of positions 0..i.  Per
+    # position on the stack, todo[p] iterates over the moves still to try,
+    # undo[p] holds what its current move changed, and entered[p] the
+    # expansion count when a state-cut miss let the walk in.  Each pass of
+    # the loop checks the deadline, then descends once or pops once.  An
+    # empty graph's root is a leaf.
+    todo: list = [None] * n
+    undo: list = [None] * n
+    entered = [0] * (n + 1)
     completed = True
-    try:
-        rec(0)
-    except _TimeUp:
-        completed = False
-    except _StopSearch:
-        pass
-    finally:
-        sys.setrecursionlimit(limit)
-        # rec's closure holds rec itself, and through descend cut_or_walk;
-        # emptying those cells frees the search state when _run returns
-        # instead of at the next cyclic collection.
-        del rec, descend
+    if n:
+        todo[0] = iter(moves(0, asap_a[0]))
+    else:
+        handle_leaf()
+    stopped = not n
+    i = 0
+    while not stopped:
+        if deadline is not None and time.perf_counter() > deadline:
+            completed = False
+            break
+        for t, dur, kind, energy in todo[i]:
+            # Place.
+            row = hist[kind]
+            old_max = cur_max[kind]
+            peak = old_max
+            for step in range(t, t + dur):
+                row[step] += 1
+                if row[step] > peak:
+                    peak = row[step]
+            old_area = cur_area
+            old_power = cur_power
+            ti = kind_type[kind]
+            old_type_area = type_area[ti]
+            if peak > old_max:
+                grew = peak - old_max
+                cur_max[kind] = peak
+                type_area[ti] += grew
+                cur_area = old_area + grew
+                cur_power = old_power + energy + unit_leak[kind] * grew
+            else:
+                cur_power = old_power + energy
+            starts[i] = t
+            durs[i] = dur
+            expanded += 1
+            # Prune or descend: bound what any completion must cost.
+            p = i + 1
+            leaks = unstarted[p]
+            lb_area = cur_area + len(leaks)
+            lb_power = cur_power + suffix_energy[p]
+            for leak in leaks:
+                lb_power += leak
+            pruned = False
+            if caps is not None and type_area[ti] > caps[ti]:
+                budget_prunes += 1
+                pruned = True
+            elif power_cap is not None and lb_power > power_cap + POWER_EPS:
+                budget_prunes += 1
+                pruned = True
+            elif prune_dom:
+                # front.covers on the bound, inlined: this runs on every expansion.
+                for am, pm in archive_pts:
+                    if am <= lb_area and pm <= lb_power + POWER_EPS:
+                        dominance_prunes += 1
+                        pruned = True
+                        break
+            if not pruned:
+                tally = gate[p]
+                if tally is not None:
+                    # The state cut, unless the gate turns p off here.
+                    looked, hit, below, test_at = tally
+                    if looked == test_at and hit * below < LOOKUP_COST * looked * (looked - hit):
+                        # p is not on the stack, so every miss at p has been walked.
+                        gate[p] = None
+                    else:
+                        if looked == test_at:
+                            tally[3] = 2 * test_at
+                        tally[0] = looked + 1
+                        if seen_state(p, cur_area, cur_power):
+                            tally[1] = hit + 1  # a state prune
+                            pruned = True
+                        else:
+                            entered[p] = expanded
+                if not pruned:
+                    if p < n:
+                        undo[i] = (kind, old_max, old_type_area, old_area, old_power)
+                        earliest = asap_a[p]
+                        for u in parents[p]:
+                            end = starts[u] + durs[u]
+                            if end > earliest:
+                                earliest = end
+                        table = tables[p][earliest - asap_a[p]]
+                        if table is None:
+                            table = moves(p, earliest)
+                        todo[p] = iter(table)
+                        i = p
+                        break
+                    if handle_leaf():
+                        stopped = True
+                        break
+            # Undo.
+            for step in range(t, t + dur):
+                row[step] -= 1
+            cur_max[kind] = old_max
+            type_area[ti] = old_type_area
+            cur_area = old_area
+            cur_power = old_power
+        else:
+            # Pop: position i has no moves left; undo the move of i - 1.
+            if i == 0:
+                break
+            tally = gate[i]
+            if tally is not None:
+                tally[2] += expanded - entered[i]
+            i -= 1
+            kind, old_max, old_type_area, cur_area, cur_power = undo[i]
+            row = hist[kind]
+            t = starts[i]
+            for step in range(t, t + durs[i]):
+                row[step] -= 1
+            cur_max[kind] = old_max
+            type_area[kind_type[kind]] = old_type_area
     elapsed = time.perf_counter() - t0
     return SearchReport(
         front=front,

@@ -15,7 +15,7 @@ first use; the search, the list scheduler, the oracle and ``validate`` read it.
 Cycle counts are unique within an op type, so (type, duration) identifies
 a node's level.  ``schedule_cost`` looks each node's row up once, in a
 single pass, and returns the area with the dynamic, leakage and switching
-power; ``area_of`` is the area part of the same pass.
+power.
 
 Library file format (line oriented, ``#`` starts a comment)::
 
@@ -111,19 +111,8 @@ class ResourceLibrary:
     def fastest(self, op: str) -> VoltageLevel:
         return self.levels(op)[0]
 
-    def level_for(self, op: str, cycles: int) -> tuple[int, VoltageLevel]:
-        """(level index, level) for a duration, or LibraryError."""
-        for idx, lvl in enumerate(self.levels(op)):
-            if lvl.cycles == cycles:
-                return idx, lvl
-        raise LibraryError(f"no {op!r} level takes {cycles} cycles")
-
-    def cycle_counts(self, op: str) -> tuple[int, ...]:
-        return tuple(lvl.cycles for lvl in self.levels(op))
-
     def allowed_durations(self) -> dict[str, frozenset[int]]:
-        return {op: frozenset(t) for op, t in
-                ((op, self.cycle_counts(op)) for op in self._levels)}
+        return {op: frozenset(lvl.cycles for lvl in self.levels(op)) for op in self._levels}
 
     def pricing(self, mode: ArchMode) -> Pricing:
         """The mode's price table for this library, built on first use."""
@@ -279,60 +268,6 @@ class Pricing:
         )
 
 
-class _Walk(NamedTuple):
-    """Everything a schedule's area and power are made of, from one pass."""
-
-    peaks: dict[int, int]  # peak concurrency per unit kind
-    area_by_type: dict[str, int]
-    picked: list[Row]  # per node, the row of its level
-    ops_by_type: dict[str, list[tuple[int, int, int, float]]]  # (start, node, cycles, p_sw)
-    completion: int  # last occupied c-step
-
-
-def _walk(g: Dfg, schedule: Schedule, price: Pricing) -> _Walk:
-    """Look up each node's row once and collect its area and power terms.
-
-    Occupancy is kept per unit kind.  A duration the mode cannot use
-    raises LibraryError.
-    """
-    lookup = price.lookup
-    busy: dict[int, dict[int, int]] = {}
-    peaks: dict[int, int] = {}
-    picked: list[Row] = []
-    ops_by_type: dict[str, list[tuple[int, int, int, float]]] = {}
-    completion = 0
-    for nid, (start, dur) in schedule.items():
-        op = g.nodes[nid]
-        picked.append(row := lookup(nid, op, dur))
-        kind = row[1]
-        steps = busy.setdefault(kind, {})
-        best = peaks.get(kind, 0)
-        for step in range(start, start + dur):
-            steps[step] = count = steps.get(step, 0) + 1
-            if count > best:
-                best = count
-        peaks[kind] = best
-        ops_by_type.setdefault(op, []).append((start, nid, dur, row[4]))
-        completion = max(completion, start + dur - 1)
-    area_by_type: dict[str, int] = {}
-    for kind, count in peaks.items():
-        op = price.kinds[kind][0]
-        area_by_type[op] = area_by_type.get(op, 0) + count
-    return _Walk(peaks, area_by_type, picked, ops_by_type, completion)
-
-
-def area_of(
-    g: Dfg, schedule: Schedule, lib: ResourceLibrary, mode: ArchMode
-) -> tuple[int, dict[str, int]]:
-    """(total units, units per op type) needed to host ``schedule``.
-
-    The schedule may be partial; missing nodes contribute nothing.  A
-    duration the mode cannot use raises LibraryError.
-    """
-    by_type = _walk(g, schedule, lib.pricing(mode)).area_by_type
-    return sum(by_type.values()), by_type
-
-
 def switch_charges(
     ops_by_type: Iterable[list[tuple[int, int, int, float]]], units: Iterable[int]
 ) -> list[float]:
@@ -437,39 +372,49 @@ def schedule_cost(
     ``latency_bound`` raises ValueError.
     """
     price = lib.pricing(mode)
-    walk = _walk(g, schedule, price)
-    if walk.completion > latency_bound:
+    lookup = price.lookup
+    busy: dict[int, dict[int, int]] = {}  # per unit kind, the ops running per step
+    peaks: dict[int, int] = {}  # peak concurrency per unit kind
+    picked: list[Row] = []  # per node, the row of its level
+    ops_by_type: dict[str, list[tuple[int, int, int, float]]] = {}  # (start, node, cycles, p_sw)
+    completion = 0  # last occupied c-step
+    for nid, (start, dur) in schedule.items():
+        op = g.nodes[nid]
+        picked.append(row := lookup(nid, op, dur))
+        kind = row[1]
+        steps = busy.setdefault(kind, {})
+        best = peaks.get(kind, 0)
+        for step in range(start, start + dur):
+            steps[step] = count = steps.get(step, 0) + 1
+            if count > best:
+                best = count
+        peaks[kind] = best
+        ops_by_type.setdefault(op, []).append((start, nid, dur, row[4]))
+        completion = max(completion, start + dur - 1)
+    if completion > latency_bound:
         raise ValueError(
-            f"schedule completes at step {walk.completion}, "
-            f"after the latency bound {latency_bound}"
+            f"schedule completes at step {completion}, after the latency bound {latency_bound}"
         )
+    area_by_type: dict[str, int] = {}
+    for kind, count in peaks.items():
+        op = price.kinds[kind][0]
+        area_by_type[op] = area_by_type.get(op, 0) + count
     switching: list[float] = []
     if price.switching:
-        units = [walk.area_by_type[op] for op in walk.ops_by_type]
-        switching = switch_charges(walk.ops_by_type.values(), units)
+        units = [area_by_type[op] for op in ops_by_type]
+        switching = switch_charges(ops_by_type.values(), units)
     return price.cost(
-        walk.area_by_type, map(itemgetter(2), walk.picked), map(itemgetter(3), walk.picked),
-        walk.peaks.items(), switching, latency_bound,
+        area_by_type, map(itemgetter(2), picked), map(itemgetter(3), picked),
+        peaks.items(), switching, latency_bound,
     )
 
 
-def _no_worse(a: tuple, b: tuple, eps: float = POWER_EPS) -> bool:
+def _no_worse(a: tuple, b: tuple) -> bool:
     """True iff point a is no worse than point b in every objective.
 
     The tolerance is for power; on the integer objectives it changes nothing.
     """
-    return all(x <= y + eps for x, y in zip(a, b))
-
-
-def dominates(c1: CostTuple, c2: CostTuple, eps: float = POWER_EPS) -> bool:
-    """True iff c1 is no worse in (area, power) and strictly better in one."""
-    a, b = (c1.area_total, c1.power), (c2.area_total, c2.power)
-    return _no_worse(a, b, eps) and not _no_worse(b, a, eps)
-
-
-def cost_equal(c1: CostTuple, c2: CostTuple, eps: float = POWER_EPS) -> bool:
-    a, b = (c1.area_total, c1.power), (c2.area_total, c2.power)
-    return _no_worse(a, b, eps) and _no_worse(b, a, eps)
+    return all(x <= y + POWER_EPS for x, y in zip(a, b))
 
 
 class ParetoEntry(NamedTuple):

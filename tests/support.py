@@ -180,7 +180,7 @@ def random_schedule(
             earliest = max(earliest, sched[u][0] + sched[u][1])
         start = rng.randint(earliest, timing.alap[v])
         durs = [
-            d for d in lib.cycle_counts(g.nodes[v]) if start + d - 1 <= timing.alap[v]
+            lv.cycles for lv in lib.levels(g.nodes[v]) if start + lv.cycles - 1 <= timing.alap[v]
         ]
         sched[v] = (start, rng.choice(durs))
     return sched

@@ -20,7 +20,6 @@ from dvsched import (
     Budget,
     Priority,
     SearchConfig,
-    area_of,
     bb_first,
     bb_pareto,
     compute_timing,
@@ -28,6 +27,7 @@ from dvsched import (
     load_resource_library,
     oracle_front,
     parse_dfg,
+    schedule_cost,
     validate_schedule,
 )
 from dvsched.cli import main
@@ -132,8 +132,8 @@ def test_fgdvs_area_never_exceeds_multi_vdd(capsys):
         timing = compute_timing(g, rng.randint(0, 2))
         for _ in range(5):
             s = support.random_schedule(rng, g, timing, lib)
-            fg, _ = area_of(g, s, lib, ArchMode.FGDVS)
-            mu, _ = area_of(g, s, lib, ArchMode.MULTI_VDD)
+            fg = schedule_cost(g, s, lib, ArchMode.FGDVS, timing.latency_bound).area_total
+            mu = schedule_cost(g, s, lib, ArchMode.MULTI_VDD, timing.latency_bound).area_total
             assert fg <= mu
             durs: dict[str, set[int]] = {}
             for v, (_start, d) in s.items():
@@ -150,8 +150,8 @@ def test_fgdvs_area_never_exceeds_multi_vdd(capsys):
     timing = compute_timing(tri, 2)
     mixed = {1: (1, 1), 2: (1, 2), 3: (2, 2)}
     assert validate_schedule(tri, timing, mixed) is None
-    fg, _ = area_of(tri, mixed, lib, ArchMode.FGDVS)
-    mu, _ = area_of(tri, mixed, lib, ArchMode.MULTI_VDD)
+    fg = schedule_cost(tri, mixed, lib, ArchMode.FGDVS, timing.latency_bound).area_total
+    mu = schedule_cost(tri, mixed, lib, ArchMode.MULTI_VDD, timing.latency_bound).area_total
     ok = checked == 1000 and fg == 2 and mu == 3
     _verdict(
         capsys, "area-inequality", ok,
@@ -197,14 +197,15 @@ def test_greedy_gap_closed_by_first_solution(capsys, default_lib):
         greedy = list_schedule(g, timing, default_lib, ArchMode.FGDVS, budget, prio)
         cfg = SearchConfig(mode=ArchMode.FGDVS, budget=budget)
         full = bb_pareto(g, timing, default_lib, cfg)
-        first = bb_first(g, timing, default_lib, cfg).first_solution
-        found = first is not None
-        faster = found and first[2] < full.elapsed
-        ok = ok and greedy is None and found and faster and len(full.front) > 0
+        rep = bb_first(g, timing, default_lib, cfg)
+        found = rep.first_solution is not None
+        # Expansions, not seconds: these searches take about a millisecond.
+        sooner = rep.nodes_expanded < full.nodes_expanded
+        ok = ok and greedy is None and found and sooner and len(full.front) > 0
         notes.append(
             f"{label}: greedy={'infeasible' if greedy is None else 'feasible'}"
-            f", first={first[2]:.4f}s vs full={full.elapsed:.4f}s" if found
-            else f"{label}: greedy-only"
+            f", first after {rep.nodes_expanded} vs full {full.nodes_expanded} expansions"
+            if found else f"{label}: greedy-only"
         )
     _verdict(capsys, "greedy-gap", ok, "; ".join(notes))
 

@@ -595,16 +595,65 @@ def test_defer_fixture_first_solution(default_lib):
 # time limit
 
 
-def test_time_limit_reports_incomplete(default_lib):
-    g = load_bench("dct")
-    t = compute_timing(g, 1)
-    cfg = SearchConfig(mode=ArchMode.FGDVS, time_limit=0.3)
-    rep = bb_pareto(g, t, default_lib, cfg)
+def assert_timed_out_front_is_sound(g, t, lib, mode):
+    rep = bb_pareto(g, t, lib, SearchConfig(mode=mode, time_limit=0.3))
     assert not rep.completed
     assert rep.elapsed < 5.0
     # whatever was found is still genuinely feasible and non-dominated
-    allowed = default_lib.allowed_durations()
+    allowed = lib.pricing(mode).durations()
     for e in rep.front:
         assert validate_schedule(g, t, e.schedule, allowed) is None
     pts = rep.front.cost_points()
     assert all(p1 > p2 for (_a, p1), (_b, p2) in zip(pts, pts[1:]))
+
+
+def test_time_limit_reports_incomplete(default_lib):
+    g = load_bench("dct")
+    assert_timed_out_front_is_sound(g, compute_timing(g, 1), default_lib, ArchMode.FGDVS)
+
+
+def test_time_limit_reports_incomplete_under_the_state_cut(default_lib):
+    # A multi-vdd walk stops inside a state-cut subtree just as well.
+    g = load_bench("volterra")
+    assert_timed_out_front_is_sound(g, compute_timing(g, 1), default_lib, ArchMode.MULTI_VDD)
+
+
+# ---------------------------------------------------------------------------
+# the walk's own stack
+
+
+def test_deep_chain_needs_no_recursion_limit(monkeypatch, default_lib):
+    # The walk keeps its own stack: 1500 positions, past Python's default
+    # recursion limit, and nothing may raise that limit.
+    def refuse(_limit):
+        raise AssertionError("the search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 1500
+    text = "name chain\n" + "".join(f"node {i} add\n" for i in range(1, n + 1))
+    text += "".join(f"edge {i} -> {i + 1}\n" for i in range(1, n))
+    g = parse_dfg(text)
+    t = compute_timing(g, 0)
+    for mode in MODES:
+        rep = bb_pareto(g, t, default_lib, SearchConfig(mode=mode, emit_first_solution=True))
+        assert rep.completed and rep.first_solution is not None and len(rep.front) == 1
+        cfg = SearchConfig(mode=mode, budget=Budget(area_caps={"add": 1}))
+        rep = bb_first(g, t, default_lib, cfg)
+        assert rep.completed and rep.first_solution[0].area_total == 1
+        assert rep.nodes_expanded == n
+
+
+def test_empty_graph_root_is_the_one_leaf(default_lib):
+    g = parse_dfg("name e\n")
+    t = compute_timing(g, 0)
+    for mode in MODES:
+        emit = SearchConfig(mode=mode, emit_first_solution=True)
+        seeded = bb_pareto(g, t, default_lib, SearchConfig(mode=mode))
+        unseeded = bb_pareto(g, t, default_lib, emit)
+        first = bb_first(g, t, default_lib, emit)
+        for rep in (seeded, unseeded, first):
+            assert rep.completed and rep.leaves == 1 and rep.nodes_expanded == 0
+        assert seeded.front.cost_points() == unseeded.front.cost_points() == [(0, 0.0)]
+        for rep in (unseeded, first):
+            cost, sched, _elapsed = rep.first_solution
+            assert (cost.area_total, cost.power, sched) == (0, 0.0, {})

@@ -355,8 +355,8 @@ def chain_dfg(n: int) -> str:
 
 
 def test_budget_bb_first_on_a_deep_chain(tmp_path, capsys):
-    # The search recurses once per node; 1500 levels exceed Python's
-    # default recursion limit.
+    # 1500 levels, more than Python's default recursion limit: the walk
+    # keeps its own stack.
     side = tmp_path / "chain.json"
     rc = main([
         "budget", "--dfg", dfg_file(tmp_path, chain_dfg(1500)), "--lib", LIB,
@@ -369,9 +369,8 @@ def test_budget_bb_first_on_a_deep_chain(tmp_path, capsys):
 
 
 def test_pareto_emit_first_on_a_deep_chain(tmp_path, capsys):
-    # --emit-first seeds nothing, so the walk goes the whole depth; under
-    # single-vdd and multi-vdd it takes two frames per node (rec and the
-    # state cut's lookup).
+    # --emit-first seeds nothing, so the walk goes the whole depth, and
+    # under single-vdd and multi-vdd looks up the state at every position.
     side = tmp_path / "chain.json"
     graph = dfg_file(tmp_path, chain_dfg(1500))
     for mode in ("fgdvs", "single-vdd", "multi-vdd"):

@@ -16,10 +16,7 @@ from dvsched import (
     Priority,
     ResourceLibrary,
     VoltageLevel,
-    area_of,
     compute_timing,
-    cost_equal,
-    dominates,
     list_schedule,
     load_resource_library,
     parse_dfg,
@@ -60,9 +57,7 @@ def test_default_library_levels(default_lib):
     assert [lv.cycles for lv in levels] == [1, 2, 3]
     assert [lv.vdd for lv in levels] == [1.0, 0.78, 0.68]
     assert default_lib.fastest("mul").cycles == 1
-    assert default_lib.cycle_counts("add") == (1, 2, 3)
-    idx, lv = default_lib.level_for("mul", 2)
-    assert idx == 1 and lv.vdd == 0.78
+    assert [lv.cycles for lv in default_lib.levels("add")] == [1, 2, 3]
 
 
 def test_pricing_table_of_default_lib(default_lib):
@@ -115,7 +110,7 @@ def test_library_single_level_type_is_valid():
     lib = load_resource_library(
         "type mul\nlevel vdd=1.0 cycles=1 pdyn=5 plk=0.5 psw=1\n"
     )
-    assert lib.cycle_counts("mul") == (1,)
+    assert [lv.cycles for lv in lib.levels("mul")] == [1]
 
 
 def test_library_duplicate_cycles_rejected():
@@ -203,13 +198,20 @@ def test_schedule_cost_rejects_power_overflow(mode, field):
 # area
 
 
+def units(g, s, lib, mode):
+    """(total units, units per type) of schedule ``s``, from schedule_cost."""
+    end = max((t0 + d - 1 for t0, d in s.values()), default=0)
+    cost = schedule_cost(g, s, lib, mode, end)
+    return cost.area_total, cost.area_by_type
+
+
 def test_area_mixed_levels_fgdvs_vs_multi():
     # total concurrency never exceeds 2, but the slow level alone peaks at 2
     # while the fast level peaks at 1; a per-level count pays for 3 units.
     t = compute_timing(TRI, 2)
     s = {1: (1, 1), 2: (1, 2), 3: (2, 2)}
-    assert area_of(TRI, s, TINY, ArchMode.FGDVS) == (2, {"mul": 2})
-    assert area_of(TRI, s, TINY, ArchMode.MULTI_VDD) == (3, {"mul": 3})
+    assert units(TRI, s, TINY, ArchMode.FGDVS) == (2, {"mul": 2})
+    assert units(TRI, s, TINY, ArchMode.MULTI_VDD) == (3, {"mul": 3})
     assert t.latency_bound == 3  # the fixture fits the bound
 
 
@@ -217,27 +219,27 @@ def test_area_single_node_all_modes():
     g = parse_dfg("name one\nnode 1 mul\n")
     s = {1: (1, 1)}
     for mode in ArchMode:
-        assert area_of(g, s, TINY, mode) == (1, {"mul": 1})
+        assert units(g, s, TINY, mode) == (1, {"mul": 1})
 
 
 def test_area_disjoint_sharing_all_modes():
     g = parse_dfg("name two\nnode 1 mul\nnode 2 mul\n")
     s = {1: (1, 1), 2: (2, 1)}
     for mode in ArchMode:
-        assert area_of(g, s, TINY, mode) == (1, {"mul": 1})
+        assert units(g, s, TINY, mode) == (1, {"mul": 1})
 
 
 def test_area_single_vdd_rejects_slow_durations():
     g = parse_dfg("name one\nnode 1 mul\n")
     with pytest.raises(ValueError):
-        area_of(g, {1: (1, 2)}, TINY, ArchMode.SINGLE_VDD)
+        units(g, {1: (1, 2)}, TINY, ArchMode.SINGLE_VDD)
 
 
 def test_area_rejects_duration_with_no_level():
     g = parse_dfg("name one\nnode 1 mul\n")
     for mode in (ArchMode.MULTI_VDD, ArchMode.FGDVS):  # single-vdd: the level-0 check
         with pytest.raises(LibraryError, match="no 'mul' level takes 7 cycles"):
-            area_of(g, {1: (1, 7)}, TINY, mode)
+            units(g, {1: (1, 7)}, TINY, mode)
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,8 +249,8 @@ def test_area_fgdvs_never_above_multi(seed, k):
     g, lib = support.random_instance(rng, state_cap=10**6)
     t = compute_timing(g, k)
     s = support.random_schedule(rng, g, t, lib)
-    fg_total, fg_by = area_of(g, s, lib, ArchMode.FGDVS)
-    mv_total, mv_by = area_of(g, s, lib, ArchMode.MULTI_VDD)
+    fg_total, fg_by = units(g, s, lib, ArchMode.FGDVS)
+    mv_total, mv_by = units(g, s, lib, ArchMode.MULTI_VDD)
     assert fg_total <= mv_total
     assert all(fg_by[op] <= mv_by[op] for op in fg_by)
     durs_per_type: dict[str, set[int]] = {}
@@ -292,7 +294,7 @@ def test_power_same_level_reuse_has_no_switch_charge():
 def test_power_cross_level_reuse_charges_once():
     g = parse_dfg("name two\nnode 1 mul\nnode 2 mul\n")
     s = {1: (1, 1), 2: (2, 2)}  # one unit, levels differ on reuse
-    assert area_of(g, s, TINY, ArchMode.FGDVS) == (1, {"mul": 1})
+    assert units(g, s, TINY, ArchMode.FGDVS) == (1, {"mul": 1})
     cost = schedule_cost(g, s, TINY, ArchMode.FGDVS, 3)
     assert cost.switching == pytest.approx(2.0)
     assert cost.dynamic == pytest.approx(8.0 + 6.0)
@@ -303,7 +305,7 @@ def test_power_fresh_instance_never_charges():
     # with two units available both ops bind fresh ones; no level change
     g = parse_dfg("name two\nnode 1 mul\nnode 2 mul\n")
     s = {1: (1, 1), 2: (1, 2)}  # concurrent, so area is 2
-    assert area_of(g, s, TINY, ArchMode.FGDVS) == (2, {"mul": 2})
+    assert units(g, s, TINY, ArchMode.FGDVS) == (2, {"mul": 2})
     cost = schedule_cost(g, s, TINY, ArchMode.FGDVS, 2)
     assert cost.switching == 0.0
 
@@ -330,7 +332,6 @@ def test_power_bounds_on_random_schedules(seed, k):
         else:
             # every op charges at most one switch event
             assert cost.switching <= sw_cap + POWER_EPS
-        assert area_of(g, s, lib, mode) == (cost.area_total, cost.area_by_type)
         assert cost.area_total == sum(cost.area_by_type.values())
 
 
@@ -458,20 +459,6 @@ def test_list_schedule_costs_match_golden(name, default_lib):
 # dominance
 
 
-def test_dominates_examples():
-    assert dominates(ct(4, 100.0), ct(5, 110.0))
-    assert not dominates(ct(4, 110.0), ct(5, 100.0))
-    assert not dominates(ct(5, 100.0), ct(4, 110.0))
-    assert dominates(ct(4, 96.68), ct(4, 113.56))
-
-
-def test_dominates_epsilon_ties():
-    a, b = ct(4, 100.0), ct(4, 100.0 + POWER_EPS / 2)
-    assert not dominates(a, b) and not dominates(b, a)
-    assert cost_equal(a, b)
-    assert not cost_equal(ct(4, 100.0), ct(4, 100.1))
-
-
 def front3_of(cost: CostTuple) -> ParetoSet:
     front = ParetoSet(("latency", "area_total", "power"))
     front.insert(cost, {})
@@ -483,19 +470,6 @@ def test_front3_covers_examples():
     assert front3_of(ct(4, 100.0, latency=5)).covers(ct(4, 100.0, latency=6))
     assert not front3_of(ct(4, 100.0, latency=6)).covers(ct(4, 100.0, latency=5))
     assert not front3_of(ct(4, 100.0, latency=6)).covers(ct(5, 90.0, latency=5))
-
-
-coarse = st.tuples(st.integers(0, 3), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]))
-
-
-@settings(max_examples=200, deadline=None)
-@given(coarse, coarse, coarse)
-def test_dominates_is_strict_partial_order(a, b, c):
-    ca, cb, cc = ct(*a), ct(*b), ct(*c)
-    assert not dominates(ca, ca)
-    assert not (dominates(ca, cb) and dominates(cb, ca))
-    if dominates(ca, cb) and dominates(cb, cc):
-        assert dominates(ca, cc)
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +529,5 @@ def test_pareto_insert_order_insensitive(points, seed):
     # archive invariants: mutually non-dominated, one entry per cost point
     pts = s1.cost_points()
     assert len(pts) == len(set(pts))
-    for e1 in s1.entries:
-        for e2 in s1.entries:
-            if e1 is not e2:
-                assert not dominates(e1.cost, e2.cost)
+    for a1, p1 in pts:
+        assert not any(a2 <= a1 and p2 <= p1 for a2, p2 in pts if (a2, p2) != (a1, p1))
