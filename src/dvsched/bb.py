@@ -3,16 +3,16 @@
 Nodes are assigned in topological order; starts ascend from the earliest
 precedence-feasible step and durations are tried fastest-first.  A branch
 is cut when a lower bound on every completion of the current prefix
-already violates the budget or is dominated-or-equalled by a completed
-solution on the archive.  The bound is the running prefix cost plus what
-the unplaced suffix must still pay: each remaining op's cheapest energy
-among levels that fit the op's window, and one unit (with its always-on
-leakage, outside FGDVS) for each op type whose first node is still to
-come.  Every bound term that depends only on the position is tabled once
-before the walk.  The walk is one loop over an explicit stack with an
-entry per placed position, so a graph's depth is bounded by memory, not by
-the interpreter's recursion limit; a time-out or, for ``bb_first``, the
-first solution ends the loop.
+already violates the budget or, from the first solution on, is
+dominated-or-equalled by a completed solution on the archive.  The bound
+is the running prefix cost plus what the unplaced suffix must still pay:
+each remaining op's cheapest energy among levels that fit the op's window,
+and one unit (with its always-on leakage, outside FGDVS) for each op type
+whose first node is still to come.  Every bound term that depends only on
+the position is tabled once before the walk.  The walk is one loop over an
+explicit stack with an entry per placed position, so a graph's depth is
+bounded by memory, not by the interpreter's recursion limit; a time-out
+or, for ``bb_first``, the first solution ends the loop.
 
 Under single-vdd and multi-vdd a prefix is also cut when an earlier
 prefix of the same length reached the same state at no higher power (a
@@ -44,7 +44,7 @@ front does not already cover.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import getitem, itemgetter
 from struct import Struct, calcsize
 
@@ -67,7 +67,6 @@ class SearchConfig:
     mode: ArchMode
     budget: Budget = field(default_factory=Budget)
     time_limit: float | None = None  # seconds; None = unbounded
-    emit_first_solution: bool = False
     prune_dominance: bool = True
     debug_check: bool = False  # raise unless each leaf's cost == schedule_cost's
 
@@ -247,7 +246,10 @@ def _run(
     older: dict[bytes, float] = {}  # the previous generation of states
     cur_area, cur_power = 0, 0.0  # the placed prefix's area and dyn+leak power
     first: FirstSolution | None = None
-    prune_dom = cfg.prune_dominance
+    # The dominance prune starts at the first solution.  Until then no leaf
+    # has reached the archive, so the walk is the tree bb_first walks and
+    # the first solution is bb_first's, seeds or not.
+    prune_dom = False
     deadline = None
     t0 = time.perf_counter()
     if cfg.time_limit is not None:
@@ -345,14 +347,13 @@ def _run(
         tables[i][earliest - asap_a[i]] = table
         return table
 
-    if not cfg.emit_first_solution:
-        # Seed the archive with the two list-scheduling extremes so the
-        # dominance prune has cover at both ends of the front from the
-        # start.  Seeds are ordinary feasible schedules: anything they
-        # prune is dominated-or-equalled by a real solution, and they are
-        # themselves displaced later if the search beats them.  Skipped
-        # when the caller wants the first solution: a seed could prune
-        # the exact leaf the search would otherwise report first.
+    # Seed the archive with the two list-scheduling extremes so the
+    # dominance prune has cover at both ends of the front once it starts.
+    # Seeds are ordinary feasible schedules: anything they prune is
+    # dominated-or-equalled by a real solution, and they are themselves
+    # displaced later if the search beats them.  bb_first, which stops at
+    # the first solution, never prunes by dominance and needs none.
+    if not stop_after_first:
         for pr in (Priority.MAX_DURATION, Priority.MIN_DURATION):
             seed = list_schedule(g, timing, lib, cfg.mode, cfg.budget, pr)
             if seed is not None:
@@ -459,6 +460,7 @@ def _run(
                     if handle_leaf():
                         stopped = True
                         break
+                    prune_dom = first is not None and cfg.prune_dominance
             # Undo.
             for step in range(t, t + dur):
                 row[step] -= 1
@@ -484,7 +486,7 @@ def _run(
     elapsed = time.perf_counter() - t0
     return SearchReport(
         front=front,
-        first_solution=first if cfg.emit_first_solution else None,
+        first_solution=first,
         nodes_expanded=expanded,
         budget_prunes=budget_prunes,
         dominance_prunes=dominance_prunes,
@@ -503,9 +505,10 @@ def bb_pareto(
 
     With a time limit the search may stop early (completed=False); the
     returned front is then a valid non-dominated set of the solutions seen
-    so far.  first_solution is filled when emit_first_solution is set; it is
-    the first budget-satisfying schedule encountered, which need not end up
-    on the final front.
+    so far.  first_solution is the first budget-satisfying schedule the walk
+    reaches, the one bb_first returns, and need not end up on the final
+    front; it is None when no schedule satisfies the budget, or none was
+    reached before the time limit.
     """
     return _run(g, timing, lib, cfg, stop_after_first=False)
 
@@ -517,9 +520,8 @@ def bb_first(
 
     The report's first_solution holds it, or None when there is none; a
     None with completed=False means the time limit hit first, so nothing
-    is known.  The front stays empty.  Runs the same depth-first search as
-    bb_pareto and therefore visits candidates in the same order, so the
-    result matches bb_pareto's first_solution on the same instance.
+    is known.  The front stays empty.  Up to its first solution bb_pareto
+    walks the same tree, so the result is bb_pareto's first_solution on the
+    same instance.
     """
-    cfg = replace(cfg, emit_first_solution=True)
     return _run(g, timing, lib, cfg, stop_after_first=True)

@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 from .bb import SearchConfig, SearchReport, bb_first, bb_pareto
 from .dfg import (
     Dfg,
-    DfgError,
     Schedule,
     TimingInfo,
     compute_timing,
@@ -43,7 +42,6 @@ from .oracle import EnumerationBound, StateSpaceTooLarge, oracle_front
 from .power import (
     ArchMode,
     Budget,
-    LibraryError,
     ParetoSet,
     ResourceLibrary,
     load_resource_library,
@@ -112,7 +110,6 @@ def _search(
         mode=mode,
         budget=budget,
         time_limit=args.time_limit,
-        emit_first_solution=getattr(args, "emit_first", False),
     )
     return bb_pareto(g, timing, lib, cfg)
 
@@ -212,7 +209,8 @@ def _counters_json(report: SearchReport) -> dict:
     }
 
 
-def _report_json(report: SearchReport) -> dict:
+def _report_json(report: SearchReport, first: bool = False) -> dict:
+    """The search's sidecar fields; the first solution only when ``first``."""
     data = {
         "completed": report.completed,
         "elapsed": report.elapsed,
@@ -220,7 +218,7 @@ def _report_json(report: SearchReport) -> dict:
         "front_size": len(report.front),
         "front": _front_json(report.front),
     }
-    if report.first_solution is not None:
+    if first and report.first_solution is not None:
         cost, schedule, at = report.first_solution
         data["first_solution"] = {
             "area": cost.area_total,
@@ -267,7 +265,7 @@ def cmd_pareto(args: argparse.Namespace) -> int:
         "mode": mode.value,
         "k": args.k,
         "latency_bound": timing.latency_bound,
-        **_report_json(report),
+        **_report_json(report, args.emit_first),
     }
     table = _front_csv(lib.op_types(), [(mode, report.front)], timing.critical_length)
     return _emit(args, data, table, report.completed)
@@ -564,7 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--emit-first",
         action="store_true",
-        help="record the first feasible schedule found in the JSON sidecar",
+        help="also write the first feasible schedule found (bb-first's answer) to the "
+        "JSON sidecar; the search and the CSV are the same without it",
     )
     p.set_defaults(func=cmd_pareto)
 
@@ -650,10 +649,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except StateSpaceTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (DfgError, LibraryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    # Bad input; DfgError, LibraryError and json.JSONDecodeError are ValueErrors.
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

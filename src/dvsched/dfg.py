@@ -76,20 +76,12 @@ class Dfg:
 
 
 def _find_cycle(g: Dfg) -> None:
-    indeg = {v: len(g.preds[v]) for v in g.nodes}
-    ready = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while ready:
-        v = ready.pop()
-        seen += 1
-        for w in g.succs[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                ready.append(w)
-    if seen == len(g.nodes):
+    # The nodes a topological order cannot reach are those on or after a
+    # cycle, whatever the order pops.
+    leftover = set(g.nodes).difference(topological_order(g))
+    if not leftover:
         return
     # Walk successors inside the leftover set until a node repeats.
-    leftover = {v for v, d in indeg.items() if d > 0}
     v = min(leftover)
     trail: list[int] = []
     pos: dict[int, int] = {}

@@ -103,6 +103,49 @@ def test_pareto_emit_first_lands_in_sidecar(tmp_path):
     assert first["schedule"] == {"1": [1, 1], "2": [1, 1], "3": [2, 1]}
 
 
+# Three muls on one type whose three levels make the search keep, for the
+# (3, 45.86) point at k=1 multi-vdd, a schedule that depends on whether the
+# list-schedule seeds are in the archive.
+SEED_SENSITIVE_DFG = """\
+name seedy
+node 1 mul
+node 3 mul
+node 2 mul
+edge 1 -> 3
+"""
+SEED_SENSITIVE_LIB = """\
+type mul
+level vdd=1.00 cycles=1 pdyn=18.61 plk=0.28 psw=0.20
+level vdd=0.82 cycles=2 pdyn=6.68 plk=0.71 psw=0.80
+level vdd=0.71 cycles=3 pdyn=3.25 plk=0.39 psw=0.85
+"""
+
+
+def test_pareto_emit_first_changes_neither_search_nor_csv(tmp_path):
+    # --emit-first only adds bb-first's answer to the sidecar: the CSV bytes
+    # and the search counters are those of the plain run.
+    graph = dfg_file(tmp_path, SEED_SENSITIVE_DFG)
+    lib = tmp_path / "seedy.lib"
+    lib.write_text(SEED_SENSITIVE_LIB, encoding="utf-8")
+    common = ["--dfg", graph, "--lib", str(lib), "--k", "1", "--mode", "multi-vdd"]
+    runs = {}
+    for name, flags in (("plain", []), ("emit", ["--emit-first"])):
+        out, side = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+        assert main(["pareto", *common, *flags, "--out", str(out), "--json", str(side)]) == 0
+        runs[name] = (out.read_bytes(), json.loads(side.read_text()))
+    (plain_csv, plain), (emit_csv, emit) = runs["plain"], runs["emit"]
+    assert "45.86" in plain_csv.decode() and plain_csv == emit_csv
+    counters = ("nodes_expanded", "budget_prunes", "dominance_prunes", "state_prunes",
+                "state_lookups", "leaves")
+    assert [plain[c] for c in counters] == [emit[c] for c in counters]
+    assert "first_solution" not in plain
+    side = tmp_path / "first.json"
+    assert main(["budget", *common, "--algorithm", "bb-first", "--json", str(side)]) == 0
+    hit = json.loads(side.read_text())
+    assert emit["first_solution"]["schedule"] == hit["schedule"]
+    assert (emit["first_solution"]["area"], emit["first_solution"]["power"]) == (hit["area"], hit["power"])
+
+
 @pytest.mark.parametrize("mode", ["single-vdd", "multi-vdd", "fgdvs"])
 def test_pareto_window_shorter_than_fastest_level(tmp_path, capsys, mode):
     lib = tmp_path / "slow_add.lib"
@@ -369,8 +412,9 @@ def test_budget_bb_first_on_a_deep_chain(tmp_path, capsys):
 
 
 def test_pareto_emit_first_on_a_deep_chain(tmp_path, capsys):
-    # --emit-first seeds nothing, so the walk goes the whole depth, and
-    # under single-vdd and multi-vdd looks up the state at every position.
+    # The dominance prune waits for the first solution, so the walk goes the
+    # whole depth, and under single-vdd and multi-vdd looks up the state at
+    # every position, with or without --emit-first.
     side = tmp_path / "chain.json"
     graph = dfg_file(tmp_path, chain_dfg(1500))
     for mode in ("fgdvs", "single-vdd", "multi-vdd"):
@@ -380,9 +424,9 @@ def test_pareto_emit_first_on_a_deep_chain(tmp_path, capsys):
             assert rc == 0, (mode, emit)
             assert "front=1" in capsys.readouterr().out
             data = json.loads(side.read_text())
+            assert data["nodes_expanded"] == 1500
             if emit:
                 assert data["first_solution"]["area"] == 1
-                assert data["nodes_expanded"] == 1500
 
 
 def test_state_cut_on_graphs_past_255_steps_and_nodes(tmp_path, capsys):

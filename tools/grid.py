@@ -5,10 +5,12 @@
 
 Each run is one ``bb_pareto`` call in a fresh interpreter that imports
 ``dvsched`` from ``--src`` (so two checkouts can be compared), and reports
-the search counters, the search's own elapsed seconds and the
-interpreter's peak RSS.  A cell is repeated ``--repeats`` times unless its
-first run hits the time limit; the JSON printed holds each cell's median
-seconds and the counters of its first run (they repeat exactly).
+the search counters, the search's own elapsed seconds, the interpreter's
+peak RSS, the front's cost points and ``kept``, a digest of each front
+point's exact cost and kept schedule (what the CSV rows carry).  A cell is
+repeated ``--repeats`` times unless its first run hits the time limit; the
+JSON printed holds each cell's median seconds and the counters of its
+first run (they repeat exactly).
 ``--limit 0`` runs without a time limit.
 """
 
@@ -25,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = ("diffeq", "iir", "fir", "volterra", "lattice", "ewf", "dct")
 
 CHILD = """
-import json, resource, sys
+import hashlib, json, resource, sys
 from pathlib import Path
 sys.path.insert(0, sys.argv[1])
 from dvsched import ArchMode, SearchConfig, bb_pareto, compute_timing, load_resource_library, parse_dfg
@@ -34,12 +36,14 @@ bench = Path(sys.argv[6])
 g = parse_dfg((bench / f"{graph}.dfg").read_text())
 lib = load_resource_library((bench / "default.lib").read_text())
 rep = bb_pareto(g, compute_timing(g, k), lib, SearchConfig(mode=mode, time_limit=limit or None))
+kept = sorted((e.cost.area_total, repr(e.cost.power), sorted(e.schedule.items())) for e in rep.front)
 print(json.dumps({
     "completed": rep.completed, "seconds": rep.elapsed, "expanded": rep.nodes_expanded,
     "budget_prunes": rep.budget_prunes, "dominance_prunes": rep.dominance_prunes,
     "state_prunes": getattr(rep, "state_prunes", None), "leaves": getattr(rep, "leaves", None),
     "state_lookups": getattr(rep, "state_lookups", None),
     "front": rep.front.cost_points(),
+    "kept": hashlib.sha256(repr(kept).encode()).hexdigest()[:16],
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
 }))
 """
