@@ -6,13 +6,17 @@ is cut when a lower bound on every completion of the current prefix
 already violates the budget or, from the first solution on, is
 dominated-or-equalled by a completed solution on the archive.  The bound
 is the running prefix cost plus what the unplaced suffix must still pay:
-each remaining op's cheapest energy among levels that fit the op's window,
-and one unit (with its always-on leakage, outside FGDVS) for each op type
-whose first node is still to come.  Every bound term that depends only on
-the position is tabled once before the walk.  The walk is one loop over an
-explicit stack with an entry per placed position, so a graph's depth is
-bounded by memory, not by the interpreter's recursion limit; a time-out
-or, for ``bb_first``, the first solution ends the loop.
+energy charged per dependence path, and one unit (with its always-on
+leakage, outside FGDVS) for each op type whose first node is still to
+come.  The positions are split into disjoint paths; the ops of one path
+run one after another, so together they must fit its span.  A DP over
+each path's start steps, from its end, gives the least energy of every
+suffix of it, tabled per position once before the walk.  The one term
+that depends on the move is a single list index per expansion: the
+placed op's end holds back the rest of its own path.  The walk is one
+loop over an explicit stack with an entry per placed position, so a
+graph's depth is bounded by memory, not by the interpreter's recursion
+limit; a time-out or, for ``bb_first``, the first solution ends the loop.
 
 Under single-vdd and multi-vdd a prefix is also cut when an earlier
 prefix of the same length reached the same state at no higher power (a
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import inf
 from operator import getitem, itemgetter
 from struct import Struct, calcsize
 
@@ -109,6 +114,83 @@ class SearchReport:
     elapsed: float
 
 
+def _path_bound(
+    parents: list[tuple[int, ...]],
+    options: list[tuple[tuple[int, int, float], ...]],
+    asap: list[int],
+    alap: list[int],
+    bound: int,
+) -> tuple[list[list[float]], list[int]] | None:
+    """The suffix bound on energy, per position and end step.
+
+    Positions are in topological order, ``parents[i]`` lists i's parents
+    and ``options[i]`` its (duration, kind, energy) levels that fit its
+    window.  Returns ``(bound_at, last_end)``: placing i to end at step
+    ``end`` leaves positions i+1.. to pay at least
+    ``bound_at[i][end - asap[i]]`` energy, and ``last_end[i]`` is the
+    latest end that leaves them a completion.  Returns None when no
+    schedule exists.
+
+    The positions are split into disjoint paths along edges, each op
+    followed by its child with the longest path below, longest paths
+    first.  The ops of a path run one after another, so their durations
+    together must fit the path's span.  Positions ascend along a path, so
+    its unplaced ops are a suffix of it, and each path pays at least the
+    least energy of that suffix.  Only i's own path sees i's end.
+    """
+    n = len(parents)
+    children: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for u in parents[i]:
+            children[u].append(i)
+    tail = [1] * n  # the node count of the longest path from each position
+    for i in range(n - 1, -1, -1):
+        for c in children[i]:
+            if tail[c] >= tail[i]:
+                tail[i] = tail[c] + 1
+    nxt = [n] * n  # the next position on i's path; n past its end
+    covered = [False] * n
+    for j in sorted(range(n), key=tail.__getitem__, reverse=True):
+        while not covered[j]:
+            covered[j] = True
+            free = [c for c in children[j] if not covered[c]]
+            if free:
+                nxt[j] = max(free, key=tail.__getitem__)
+                j = nxt[j]
+    # A DP per path, from its end.  f[j][t - asap_j] is the least energy of
+    # j and the rest of its path when j starts at t, and rest[end - asap_j]
+    # that of the rest alone when j ends at `end`: each op ends by its alap,
+    # the next op on the path starts at max(end, its asap), and inf means
+    # nothing fits.  Position n stands for the empty rest of a path, which
+    # costs 0.0 and starts at bound + 1, after every end.  `suffix` sums
+    # f[head][0] over the paths' unplaced suffixes once 0..j are placed.
+    path_asap = asap + [bound + 1]
+    f: list[list[float]] = [[]] * n + [[0.0]]
+    bound_at: list[list[float]] = [[]] * n
+    last_end = [0] * n
+    suffix = 0.0
+    for j in range(n - 1, -1, -1):
+        lo, w = asap[j], alap[j] - asap[j] + 1
+        fq, aq = f[nxt[j]], path_asap[nxt[j]]
+        rest = [fq[end - aq] if end > aq else fq[0] for end in range(lo, lo + w + 1)]
+        row = [inf] * w
+        for d, _k, e in options[j]:
+            for x in range(w - d + 1):
+                cost = e + rest[x + d]
+                if cost < row[x]:
+                    row[x] = cost
+        if row[0] == inf:
+            return None
+        f[j] = row
+        bound_at[j] = [suffix + (r - fq[0]) for r in rest]
+        suffix = suffix + row[0] - fq[0]
+        last = w  # rest[0] is fq[0], which is finite
+        while rest[last] == inf:
+            last -= 1
+        last_end[j] = lo + last
+    return bound_at, last_end
+
+
 def _run(
     g: Dfg,
     timing: TimingInfo,
@@ -156,11 +238,14 @@ def _run(
     caps: list[int] | None = None
     if cfg.budget.area_caps is not None:
         caps = [cfg.budget.area_caps.get(op, n) for op in type_names]
-    if not all(options) or (caps is not None and 0 in caps):
-        # Some node's window is shorter than its fastest level, or some type
-        # in the graph may have no unit: no schedule exists, so the search
-        # is complete before it starts.
+    path_tables = _path_bound(parents, options, asap_a, alap_a, bound)
+    if path_tables is None or (caps is not None and 0 in caps):
+        # Some path's ops cannot fit its span (as when a node's window is
+        # shorter than its fastest level), or some type in the graph may
+        # have no unit: no schedule exists, so the search is complete
+        # before it starts.
         return SearchReport(ParetoSet(), None, 0, 0, 0, 0, 0, 0, completed=True, elapsed=0.0)
+    bound_at, last_end = path_tables
     power_cap = cfg.budget.power_cap
 
     # The positions of each type, whose ops the FGDVS binder takes per type.
@@ -168,14 +253,10 @@ def _run(
         [i for i, v in enumerate(order) if g.nodes[v] == op] for op in type_names
     ]
 
-    # Suffix lower bounds: every node still unplaced at position i will pay
-    # at least its cheapest per-op energy, and every type whose first node
-    # sits at position i or later has no unit yet (each placed node holds a
-    # unit for at least one step) and will allocate at least one.
-    # unstarted[i] holds those types' forced leakage, in type order.
-    suffix_energy = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_energy[i] = suffix_energy[i + 1] + min(e for _d, _k, e in options[i])
+    # Every type whose first node sits at position i or later has no unit
+    # yet (each placed node holds a unit for at least one step) and will
+    # allocate at least one; unstarted[i] holds those types' forced leakage,
+    # in type order.
     unstarted = [
         tuple(forced_leak[tj] for tj, at in enumerate(type_positions) if at[0] >= i)
         for i in range(n + 1)
@@ -331,19 +412,17 @@ def _run(
     }
     moves_at = [step_moves[g.nodes[v]] for v in order]
     # Per position and earliest start, the moves in walk order: starts
-    # ascending, then fastest first, each duration fitting before alap.
-    # Built the first time they are reached.  A parent ends no later than
+    # ascending, then fastest first, each ending by last_end.  Built the
+    # first time they are reached.  A parent ends no later than
     # its child's alap, so every earliest start has a slot.
     tables: list[list[tuple[tuple[int, int, int, float], ...] | None]] = [
         [None] * (alap_a[i] - asap_a[i] + 1) for i in range(n)
     ]
 
     def moves(i: int, earliest: int) -> tuple[tuple[int, int, int, float], ...]:
-        latest = alap_a[i]
+        last = last_end[i]
         at = moves_at[i]
-        table = tuple(
-            move for t in range(earliest, latest + 1) for move in at[t] if move[1] <= latest - t + 1
-        )
+        table = tuple(move for t in range(earliest, last) for move in at[t] if move[1] <= last - t)
         tables[i][earliest - asap_a[i]] = table
         return table
 
@@ -381,6 +460,8 @@ def _run(
         if deadline is not None and time.perf_counter() > deadline:
             completed = False
             break
+        # What positions i+1.. must still pay in energy, by the end of i's move.
+        bound_row, base = bound_at[i], asap_a[i]
         for t, dur, kind, energy in todo[i]:
             # Place.
             row = hist[kind]
@@ -409,7 +490,7 @@ def _run(
             p = i + 1
             leaks = unstarted[p]
             lb_area = cur_area + len(leaks)
-            lb_power = cur_power + suffix_energy[p]
+            lb_power = cur_power + bound_row[t + dur - base]
             for leak in leaks:
                 lb_power += leak
             pruned = False

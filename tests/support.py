@@ -171,8 +171,9 @@ def random_instance(
 
 def random_schedule(
     rng: random.Random, g: Dfg, timing: TimingInfo, lib: ResourceLibrary
-) -> Schedule:
-    """A uniformly sloppy but always valid schedule (random walk)."""
+) -> Schedule | None:
+    """A uniformly sloppy but valid schedule (random walk), or None when
+    the walk reaches a node with no level that fits before its alap."""
     sched: Schedule = {}
     for v in topological_order(g):
         earliest = timing.asap[v]
@@ -182,6 +183,8 @@ def random_schedule(
         durs = [
             lv.cycles for lv in lib.levels(g.nodes[v]) if start + lv.cycles - 1 <= timing.alap[v]
         ]
+        if not durs:
+            return None
         sched[v] = (start, rng.choice(durs))
     return sched
 
@@ -189,8 +192,11 @@ def random_schedule(
 def sampled_budgets(
     rng: random.Random, g: Dfg, timing: TimingInfo, lib: ResourceLibrary
 ) -> list[Budget]:
-    """No budget, an area vector, and a power cap near a reachable cost."""
+    """No budget, an area vector, and a power cap near a reachable cost;
+    only no budget when the random walk finds no schedule."""
     ref = random_schedule(rng, g, timing, lib)
+    if ref is None:
+        return [Budget()]
     c_multi = schedule_cost(g, ref, lib, ArchMode.MULTI_VDD, timing.latency_bound)
     c_fg = schedule_cost(g, ref, lib, ArchMode.FGDVS, timing.latency_bound)
     return [

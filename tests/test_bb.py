@@ -131,12 +131,20 @@ def _level_cut_by_window(g, t, lib) -> bool:
     )
 
 
+def _each_node_has_a_fitting_level(g, t, lib, mode) -> bool:
+    allowed = lib.pricing(mode).durations()
+    return all(
+        any(d <= t.alap[v] - t.asap[v] + 1 for d in allowed[op]) for v, op in g.nodes.items()
+    )
+
+
 def test_front_matches_oracle_on_gapped_libraries():
     # Libraries whose fastest level takes 2 cycles or whose cycle counts
     # skip: there the search keeps only the levels that fit a node's window,
-    # and at k=0 a node may be left with none.
+    # at k=0 a node may be left with none, and a path's ops may not fit its
+    # span even where each op fits its own window.
     rng = random.Random(5)
-    cut_nonempty = no_schedule = 0
+    cut_nonempty = no_schedule = no_schedule_each_fits = 0
     for _ in range(40):
         g, lib = support.random_instance(
             rng, state_cap=3000, library_text=support.gapped_library_text
@@ -155,6 +163,7 @@ def test_front_matches_oracle_on_gapped_libraries():
                     cut_nonempty += _level_cut_by_window(g, t, lib)
                 else:
                     no_schedule += 1
+                    no_schedule_each_fits += _each_node_has_a_fitting_level(g, t, lib, mode)
                 for b in budgets:
                     want = oracle_front(g, t, lib, mode, budget=b).cost_points()
                     cfg = SearchConfig(mode=mode, budget=b, debug_check=True)
@@ -168,8 +177,47 @@ def test_front_matches_oracle_on_gapped_libraries():
                     assert rep.first_solution is not None and want
                     assert hit[:2] == rep.first_solution[:2]
                     assert b.allows(hit[0].area_by_type, hit[0].power)
-    # the corpus reaches both effects of the window filter
-    assert cut_nonempty > 0 and no_schedule > 0
+    # the corpus reaches both effects of the window filter, and the paths'
+    assert cut_nonempty > 0 and no_schedule > 0 and no_schedule_each_fits > 0
+
+
+def test_sampled_budgets_on_a_node_with_no_fitting_level():
+    # The random walk behind the sampled budgets can reach a node whose
+    # window no level fits; only the empty budget is sampled then.
+    rng = random.Random(1)
+    g, lib = support.random_instance(rng, state_cap=3000, library_text=support.gapped_library_text)
+    t = compute_timing(g, 0)
+    assert not _each_node_has_a_fitting_level(g, t, lib, ArchMode.MULTI_VDD)
+    assert support.sampled_budgets(rng, g, t, lib) == [Budget()]
+
+
+def test_bound_admits_the_least_power_point():
+    # A bound that overestimates what a completion must still pay cuts the
+    # oracle front's least-power point at the exact cap: capped at that
+    # point's power, bb_first must find a schedule, and capped at its area
+    # vector (a budget caps area or power, not both), bb_pareto must still
+    # reach its power through the dominance prune.
+    rng = random.Random(17)
+    checked = 0
+    for library_text in (support.random_library_text, support.gapped_library_text):
+        for _ in range(12):
+            g, lib = support.random_instance(rng, state_cap=3000, library_text=library_text)
+            for k in (0, 1, 2):
+                t = compute_timing(g, k)
+                for mode in MODES:
+                    free = oracle_front(g, t, lib, mode)
+                    if not len(free):
+                        continue
+                    low = min((e.cost for e in free), key=lambda c: c.power)
+                    cfg = SearchConfig(mode=mode, budget=Budget(power_cap=low.power))
+                    rep = bb_first(g, t, lib, cfg)
+                    assert rep.completed and rep.first_solution is not None
+                    cfg = SearchConfig(mode=mode, budget=Budget(area_caps=dict(low.area_by_type)))
+                    rep = bb_pareto(g, t, lib, cfg)
+                    assert rep.completed
+                    assert min(p for _a, p in rep.front.cost_points()) <= low.power + POWER_EPS
+                    checked += 1
+    assert checked > 100
 
 
 def test_diffeq_front_frozen(default_lib, diffeq):
@@ -275,15 +323,15 @@ def pinned(test_id, name, k, mode, counters, budget=Budget(), first=None):
         pinned("fir-0-ArchMode.MULTI_VDD-305", "fir", 0, ArchMode.MULTI_VDD,
                (179, 0, 66, 12)),
         pinned("ewf-0-ArchMode.FGDVS-5600", "ewf", 0, ArchMode.FGDVS,
-               (5_609, 0, 1_396, 0)),
+               (4_155, 0, 866, 0)),
         pinned("volterra-0-ArchMode.MULTI_VDD-117426", "volterra", 0, ArchMode.MULTI_VDD,
                (40_055, 0, 27_742, 1_773)),
         pinned("diffeq-1-ArchMode.FGDVS-8558", "diffeq", 1, ArchMode.FGDVS,
-               (8_558, 0, 5_386, 0)),
+               (7_595, 0, 4_800, 0)),
         pinned("diffeq-2-ArchMode.FGDVS-23262", "diffeq", 2, ArchMode.FGDVS,
-               (23_262, 12_361, 4_674, 0), Budget(area_caps={"mul": 2, "add": 1, "comp": 1})),
+               (22_589, 12_147, 4_801, 0), Budget(area_caps={"mul": 2, "add": 1, "comp": 1})),
         pinned("fir-1-ArchMode.MULTI_VDD-19466", "fir", 1, ArchMode.MULTI_VDD,
-               (4_184, 986, 44, 1_422), Budget(power_cap=230), first=(3_563, 947, 0, 1_214)),
+               (275, 87, 25, 23), Budget(power_cap=230), first=(131, 56, 0, 8)),
     ],
 )
 def test_expansion_counts_pinned(default_lib, name, k, mode, budget, counters, first_counters):

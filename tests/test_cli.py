@@ -348,7 +348,7 @@ def test_budget_bb_first_time_limit_runs_one_search(monkeypatch, capsys):
 
     monkeypatch.setattr("dvsched.cli.bb_pareto", no_second_search)
     rc = main([
-        "budget", "--dfg", str(bench_path("volterra")), "--lib", LIB, "--k", "1",
+        "budget", "--dfg", str(bench_path("volterra")), "--lib", LIB, "--k", "2",
         "--power-budget", "260", "--algorithm", "bb-first", "--time-limit", "0.3",
     ])
     assert rc == 4
@@ -358,7 +358,7 @@ def test_budget_bb_first_time_limit_runs_one_search(monkeypatch, capsys):
 def test_budget_bb_first_time_limit_writes_sidecar(tmp_path, capsys):
     side = tmp_path / "to.json"
     rc = main([
-        "budget", "--dfg", str(bench_path("volterra")), "--lib", LIB, "--k", "1",
+        "budget", "--dfg", str(bench_path("volterra")), "--lib", LIB, "--k", "2",
         "--power-budget", "260", "--algorithm", "bb-first", "--time-limit", "0.2",
         "--json", str(side),
     ])
@@ -368,7 +368,7 @@ def test_budget_bb_first_time_limit_writes_sidecar(tmp_path, capsys):
     completed, expanded, *_prunes, state_prunes, _leaves = search_counters(data)
     assert not completed and expanded > 0 and state_prunes == 0  # fgdvs has no state cut
     assert data == {
-        "command": "budget", "dfg": "volterra", "mode": "fgdvs", "k": 1,
+        "command": "budget", "dfg": "volterra", "mode": "fgdvs", "k": 2,
         "algorithm": "bb-first", "completed": False, **{
             key: data[key] for key in (
                 "nodes_expanded", "budget_prunes", "dominance_prunes", "state_prunes",

@@ -12,6 +12,13 @@ repeated ``--repeats`` times unless its first run hits the time limit; the
 JSON printed holds each cell's median seconds and the counters of its
 first run (they repeat exactly).
 ``--limit 0`` runs without a time limit.
+
+    python3 tools/grid.py --src src --limit 10 --repeats 1 --against parent.json > grid.json
+
+``--against FILE`` compares the run with a grid JSON saved earlier: on
+stderr it names every cell that completed in both runs with a different
+``front`` or ``kept``, and gives the expansions and summed seconds of each
+run over those cells.  The exit status is 1 when any cell differs.
 """
 
 from __future__ import annotations
@@ -64,7 +71,9 @@ def main() -> int:
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--cells", nargs="*", help="graph:k:mode; default 7 graphs x k 0..2 x "
                     "single-vdd, multi-vdd")
+    ap.add_argument("--against", type=Path, help="a grid JSON to compare this run with")
     args = ap.parse_args()
+    against = json.loads(args.against.read_text()) if args.against else None
     cells = args.cells or [f"{g}:{k}:{m}" for g in GRAPHS for k in range(3)
                            for m in ("single-vdd", "multi-vdd")]
     src = str(Path(args.src).resolve())
@@ -80,7 +89,22 @@ def main() -> int:
         print(cell, {key: result[cell][key] for key in ("completed", "expanded", "seconds")},
               file=sys.stderr, flush=True)
     print(json.dumps(result, indent=1))
-    return 0
+    return compare(against, result) if against is not None else 0
+
+
+def compare(old: dict, new: dict) -> int:
+    """Report the cells both grids completed whose answers differ; 1 if any."""
+    both = [c for c in new if c in old and old[c]["completed"] and new[c]["completed"]]
+    differ = [c for c in both if any(old[c][key] != new[c][key] for key in ("front", "kept"))]
+    for cell in differ:
+        print(f"differs: {cell}", file=sys.stderr)
+    for name, grid in (("against", old), ("this run", new)):
+        expanded = sum(grid[c]["expanded"] for c in both)
+        seconds = sum(grid[c]["seconds"] for c in both)
+        print(f"{name}: {expanded} expansions, {seconds:.2f} s over {len(both)} cells "
+              "completed in both", file=sys.stderr)
+    print(f"{len(differ)} of {len(both)} cells differ", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
