@@ -13,6 +13,7 @@ from dvsched import (
     ArchMode,
     Budget,
     Dfg,
+    Priority,
     ResourceLibrary,
     Schedule,
     TimingInfo,
@@ -204,3 +205,41 @@ def sampled_budgets(
         Budget(area_caps=dict(c_multi.area_by_type)),
         Budget(power_cap=c_fg.power * rng.uniform(0.7, 1.3)),
     ]
+
+
+def reference_list_schedule(
+    g: Dfg,
+    timing: TimingInfo,
+    lib: ResourceLibrary,
+    mode: ArchMode,
+    budget: Budget = Budget(),
+    priority: Priority = Priority.MIN_DURATION,
+) -> Schedule | None:
+    """The greedy list scheduler as first written: under a budget it prices
+    each candidate by ``schedule_cost`` on the whole prefix, which is
+    quadratic in the graph size.  ``list_schedule`` must give the same
+    answer, or raise the same exception type."""
+    price = lib.pricing(mode)
+    schedule: Schedule = {}
+    for v in topological_order(g):
+        earliest = timing.asap[v]
+        for u in g.preds[v]:
+            su, du = schedule[u]
+            earliest = max(earliest, su + du)
+        candidates = sorted(price.rows(g.nodes[v]), reverse=priority is Priority.MAX_DURATION)
+        placed = False
+        for dur in candidates:
+            if earliest + dur - 1 > timing.alap[v]:
+                continue
+            schedule[v] = (earliest, dur)
+            if budget.unconstrained:
+                placed = True
+                break
+            cost = schedule_cost(g, schedule, lib, mode, timing.latency_bound)
+            if budget.allows(cost.area_by_type, cost.power):
+                placed = True
+                break
+            del schedule[v]
+        if not placed:
+            return None
+    return schedule

@@ -17,6 +17,7 @@ from dvsched import (
     schedule_cost,
     validate_schedule,
 )
+from dvsched import listsched, power
 
 import support
 from conftest import load_bench
@@ -119,7 +120,7 @@ def test_feasible_results_validate_and_fit_budget(seed, k):
     rng = random.Random(seed)
     g, lib = support.random_instance(rng, state_cap=10**6)
     t = compute_timing(g, k)
-    mode = rng.choice([ArchMode.MULTI_VDD, ArchMode.FGDVS])
+    mode = rng.choice(list(ArchMode))
     for b in support.sampled_budgets(rng, g, t, lib):
         for pr in Priority:
             s = list_schedule(g, t, lib, mode, b, pr)
@@ -137,3 +138,65 @@ def test_deterministic(default_lib):
     a = list_schedule(g, t, default_lib, ArchMode.FGDVS, b, Priority.MAX_DURATION)
     c = list_schedule(g, t, default_lib, ArchMode.FGDVS, b, Priority.MAX_DURATION)
     assert a == c
+
+
+# ---------------------------------------------------------------------------
+# the running prefix cost
+
+
+def _outcome(fn, *args):
+    """``fn``'s return value, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not handled
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans())
+def test_matches_prefix_recosting_greedy(seed, k, gapped):
+    """The running cost state makes every decision the whole-prefix
+    ``schedule_cost`` greedy makes, including under caps just below the
+    greedy schedule's own cost, where candidates are rejected and undone."""
+    rng = random.Random(seed)
+    text = support.gapped_library_text if gapped else support.random_library_text
+    g, lib = support.random_instance(rng, state_cap=10**6, library_text=text)
+    t = compute_timing(g, k)
+    budgets = support.sampled_budgets(rng, g, t, lib)
+    for mode in ArchMode:
+        for pr in Priority:
+            caps = list(budgets)
+            greedy = list_schedule(g, t, lib, mode, Budget(), pr)
+            if greedy is not None:
+                cost = schedule_cost(g, greedy, lib, mode, t.latency_bound)
+                caps += [Budget(power_cap=cost.power * f) for f in (0.8, 0.99, 1 - 1e-6)]
+                caps.append(Budget(area_caps={op: n - 1 for op, n in cost.area_by_type.items()}))
+            for b in caps:
+                assert _outcome(list_schedule, g, t, lib, mode, b, pr) == _outcome(
+                    support.reference_list_schedule, g, t, lib, mode, b, pr
+                )
+
+
+def _chain_text(n: int) -> str:
+    lines = [f"name chain{n}"] + [f"node {i} add" for i in range(1, n + 1)]
+    lines += [f"edge {i} -> {i + 1}" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def test_budgeted_pass_never_recosts_the_prefix(default_lib, monkeypatch):
+    # On a 1500-node chain at k=0 every node has one start step and only
+    # its unit duration fits, so each pass must return the unit ASAP
+    # schedule; a whole-prefix recost per placement would be quadratic.
+    g = parse_dfg(_chain_text(1500))
+    t = compute_timing(g, 0)
+    asap = {v: (t.asap[v], 1) for v in g.nodes}
+    caps = {m: schedule_cost(g, asap, default_lib, m, t.latency_bound).power for m in ArchMode}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("budgeted list_schedule called schedule_cost")
+
+    monkeypatch.setattr(power, "schedule_cost", forbidden)
+    monkeypatch.setattr(listsched, "schedule_cost", forbidden)
+    for mode in ArchMode:
+        for b in (Budget(area_caps={"add": 1}), Budget(power_cap=caps[mode])):
+            assert list_schedule(g, t, default_lib, mode, b) == asap
