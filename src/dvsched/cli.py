@@ -98,22 +98,6 @@ def _make_budget(args: argparse.Namespace, lib: ResourceLibrary) -> Budget:
     return Budget(area_caps=caps, power_cap=args.power_budget)
 
 
-def _search(
-    g: Dfg,
-    timing: TimingInfo,
-    lib: ResourceLibrary,
-    mode: ArchMode,
-    budget: Budget,
-    args: argparse.Namespace,
-) -> SearchReport:
-    cfg = SearchConfig(
-        mode=mode,
-        budget=budget,
-        time_limit=args.time_limit,
-    )
-    return bb_pareto(g, timing, lib, cfg)
-
-
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
@@ -250,7 +234,7 @@ def _emit(
 def cmd_pareto(args: argparse.Namespace) -> int:
     g, lib, (timing,) = _load(args, [args.k])
     mode = ArchMode(args.mode)
-    report = _search(g, timing, lib, mode, _make_budget(args, lib), args)
+    report = bb_pareto(g, timing, lib, SearchConfig(mode, _make_budget(args, lib), args.time_limit))
     _print_front(
         f"{g.name}: mode={mode.value} k={args.k} latency_bound={timing.latency_bound} "
         f"front={len(report.front)} expanded={report.nodes_expanded} "
@@ -274,7 +258,10 @@ def cmd_pareto(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     g, lib, (timing,) = _load(args, [args.k])
     budget = _make_budget(args, lib)
-    reports = {mode: _search(g, timing, lib, mode, budget, args) for mode in MODE_ORDER}
+    reports = {
+        mode: bb_pareto(g, timing, lib, SearchConfig(mode, budget, args.time_limit))
+        for mode in MODE_ORDER
+    }
     for mode, rep in reports.items():
         tag = "" if rep.completed else " [partial]"
         title = f"{g.name}: mode={mode.value} front={len(rep.front)}{tag}"
@@ -310,7 +297,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     g, lib, timings = _load(args, range(args.k_max + 1))
     mode = ArchMode(args.mode)
     budget = _make_budget(args, lib)
-    runs = [(t, _search(g, t, lib, mode, budget, args)) for t in timings]
+    runs = [(t, bb_pareto(g, t, lib, SearchConfig(mode, budget, args.time_limit))) for t in timings]
 
     # One summary row per slack: the front's area and power extremes.  The
     # optional merged front over (latency, area, power) takes every point in
@@ -390,7 +377,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
     }
 
     if args.algorithm == "bb":
-        report = _search(g, timing, lib, mode, budget, args)
+        report = bb_pareto(g, timing, lib, SearchConfig(mode, budget, args.time_limit))
         tag = "" if report.completed else " [partial]"
         title = f"{g.name}: budget-constrained front, {len(report.front)} points{tag}"
         _print_front(title, report.front, lib.op_types())

@@ -13,9 +13,9 @@ FGDVS an op leaks only while it runs.  ``Pricing`` states these rules once,
 as a table per (library, mode) that ``ResourceLibrary.pricing`` builds on
 first use; the search, the list scheduler, the oracle and ``validate`` read it.
 Cycle counts are unique within an op type, so (type, duration) identifies
-a node's level.  ``schedule_cost`` looks each node's row up once, in a
-single pass, and returns the area with the dynamic, leakage and switching
-power.
+a node's level.  ``CostState`` turns placed nodes and their rows into a
+``CostTuple``: the list scheduler prices each candidate with it, and
+``schedule_cost`` adds a whole schedule to one.
 
 Library file format (line oriented, ``#`` starts a comment)::
 
@@ -281,8 +281,8 @@ def switch_charges(
     it lands on a never-used unit or on a free unit whose previous op had
     the same duration.  Preference: same-duration free unit, then never-used
     unit, then any free unit (charged); ties go to the lowest unit index.
-    This is the only switching rule: ``schedule_cost`` and the search's
-    leaf costing both call it, and ``Pricing.cost`` sums the charges.
+    This is the only switching rule: ``CostState`` and the search's leaf
+    costing both call it, and ``Pricing.cost`` sums the charges.
     """
     charges: list[float] = []
     for ops, count in zip(ops_by_type, units):
@@ -356,6 +356,98 @@ class Budget:
         return True
 
 
+class CostState:
+    """The cost of a schedule built one node at a time, with a one-step undo.
+
+    ``add`` places a node with its row from the mode's ``Pricing`` table:
+    per unit kind it keeps an occupancy count per c-step and the peak, per
+    type the area that the peaks make, and the row of each placed node,
+    whose dynamic and per-op leak terms are summed.  Where the mode charges
+    switching it also keeps each type's ops as ``(start, node id, cycles,
+    psw)``, and caches each type's ``switch_charges`` until an ``add`` or
+    ``undo`` of that type drops them.
+    ``cost`` recomputes the dropped charges and makes one ``Pricing.cost``
+    call; its ``fsum`` sums do not depend on term order, so the cost is the
+    same whatever order the nodes came in.  ``undo`` takes back the last
+    ``add`` exactly.  A start before step 1 or an end after the latency
+    bound raises ValueError.
+    """
+
+    def __init__(self, price: Pricing, latency_bound: int):
+        self.price = price
+        self.switching = price.switching
+        self.bound = latency_bound
+        self.busy: dict[int, list[int]] = {}  # per unit kind, the ops running per step
+        self.peaks: dict[int, int] = {}  # peak concurrency per unit kind
+        self.area: dict[str, int] = {}
+        self.rows: list[Row] = []  # per placed node, the row of its level
+        self.ops_by_type: dict[str, list[tuple[int, int, int, float]]] = {}
+        self.charges: dict[str, list[float]] = {}  # per type, while its ops and units last
+        self._last: tuple = ()
+
+    def add(self, nid: int, op: str, start: int, row: Row) -> None:
+        """Place node ``nid``, of type ``op``, at ``start`` with ``row``."""
+        cycles, kind = row[0], row[1]
+        end = start + cycles
+        if start < 1:
+            raise ValueError(f"node {nid}: start step {start} is before step 1")
+        if end - 1 > self.bound:
+            raise ValueError(
+                f"schedule completes at step {end - 1}, after the latency bound {self.bound}"
+            )
+        steps = self.busy.setdefault(kind, [])
+        if len(steps) < end:
+            steps += [0] * (end - len(steps))
+        peak = 0
+        for step in range(start, end):
+            steps[step] = count = steps[step] + 1
+            if count > peak:
+                peak = count
+        peaks = self.peaks
+        old_peak = peaks.get(kind)
+        old_area = self.area.get(op)
+        if old_peak is None or peak > old_peak:
+            peaks[kind] = peak
+            self.area[op] = (old_area or 0) + peak - (old_peak or 0)
+        self.rows.append(row)
+        entry = None
+        if self.switching:
+            entry = (start, nid, cycles, row[4])
+            self.ops_by_type.setdefault(op, []).append(entry)
+            self.charges.pop(op, None)
+        self._last = (op, kind, start, end, old_peak, old_area, entry)
+
+    def undo(self) -> None:
+        """Take back the last ``add``."""
+        op, kind, start, end, old_peak, old_area, entry = self._last
+        steps = self.busy[kind]
+        for step in range(start, end):
+            steps[step] -= 1
+        for values, key, old in ((self.peaks, kind, old_peak), (self.area, op, old_area)):
+            if old is None:
+                del values[key]
+            else:
+                values[key] = old
+        self.rows.pop()
+        if self.switching:
+            ops = self.ops_by_type[op]
+            ops.remove(entry)
+            if not ops:
+                del self.ops_by_type[op]
+            self.charges.pop(op, None)
+
+    def cost(self) -> CostTuple:
+        """The CostTuple of the nodes placed so far."""
+        charges = self.charges
+        for op, ops in self.ops_by_type.items():
+            if op not in charges:
+                charges[op] = switch_charges([ops], [self.area[op]])
+        return self.price.cost(
+            dict(self.area), map(itemgetter(2), self.rows), map(itemgetter(3), self.rows),
+            self.peaks.items(), chain.from_iterable(charges.values()), self.bound,
+        )
+
+
 def schedule_cost(
     g: Dfg,
     schedule: Schedule,
@@ -363,50 +455,21 @@ def schedule_cost(
     mode: ArchMode,
     latency_bound: int,
 ) -> CostTuple:
-    """Area and average power of a (possibly partial) schedule, in one pass.
+    """Area and average power of a (possibly partial) schedule: its nodes
+    added to one ``CostState``.
 
-    Each node is priced by its row in the mode's ``Pricing`` table, and
-    switching, where the mode charges it, by ``switch_charges``.  A
-    duration the mode cannot use raises LibraryError, as does a power too
-    large for a float, and a schedule that completes after
-    ``latency_bound`` raises ValueError.
+    Every node's row is looked up first, so a duration the mode cannot use
+    raises LibraryError before a placement can raise ValueError.
     """
     price = lib.pricing(mode)
     lookup = price.lookup
-    busy: dict[int, dict[int, int]] = {}  # per unit kind, the ops running per step
-    peaks: dict[int, int] = {}  # peak concurrency per unit kind
-    picked: list[Row] = []  # per node, the row of its level
-    ops_by_type: dict[str, list[tuple[int, int, int, float]]] = {}  # (start, node, cycles, p_sw)
-    completion = 0  # last occupied c-step
-    for nid, (start, dur) in schedule.items():
-        op = g.nodes[nid]
-        picked.append(row := lookup(nid, op, dur))
-        kind = row[1]
-        steps = busy.setdefault(kind, {})
-        best = peaks.get(kind, 0)
-        for step in range(start, start + dur):
-            steps[step] = count = steps.get(step, 0) + 1
-            if count > best:
-                best = count
-        peaks[kind] = best
-        ops_by_type.setdefault(op, []).append((start, nid, dur, row[4]))
-        completion = max(completion, start + dur - 1)
-    if completion > latency_bound:
-        raise ValueError(
-            f"schedule completes at step {completion}, after the latency bound {latency_bound}"
-        )
-    area_by_type: dict[str, int] = {}
-    for kind, count in peaks.items():
-        op = price.kinds[kind][0]
-        area_by_type[op] = area_by_type.get(op, 0) + count
-    switching: list[float] = []
-    if price.switching:
-        units = [area_by_type[op] for op in ops_by_type]
-        switching = switch_charges(ops_by_type.values(), units)
-    return price.cost(
-        area_by_type, map(itemgetter(2), picked), map(itemgetter(3), picked),
-        peaks.items(), switching, latency_bound,
-    )
+    nodes = g.nodes
+    rows = [lookup(nid, nodes[nid], dur) for nid, (_start, dur) in schedule.items()]
+    state = CostState(price, latency_bound)
+    add = state.add
+    for (nid, (start, _dur)), row in zip(schedule.items(), rows):
+        add(nid, nodes[nid], start, row)
+    return state.cost()
 
 
 def _no_worse(a: tuple, b: tuple) -> bool:

@@ -200,3 +200,44 @@ def test_budgeted_pass_never_recosts_the_prefix(default_lib, monkeypatch):
     for mode in ArchMode:
         for b in (Budget(area_caps={"add": 1}), Budget(power_cap=caps[mode])):
             assert list_schedule(g, t, default_lib, mode, b) == asap
+
+
+def test_fgdvs_switch_charges_once_per_pricing(default_lib, diffeq, monkeypatch):
+    # Each pricing recomputes only the charges its adds and undos dropped,
+    # with one switch_charges call; one call per added node would make the
+    # 1500-node chain's schedule_cost quadratic.
+    calls = {"switch": 0, "priced": 0}
+    real_switch, real_cost = power.switch_charges, power.Pricing.cost
+
+    def switch(*args):
+        calls["switch"] += 1
+        return real_switch(*args)
+
+    def priced(*args):
+        calls["priced"] += 1
+        return real_cost(*args)
+
+    monkeypatch.setattr(power, "switch_charges", switch)
+    monkeypatch.setattr(power.Pricing, "cost", priced)
+    g = parse_dfg(_chain_text(1500))
+    t = compute_timing(g, 0)
+    asap = {v: (t.asap[v], 1) for v in g.nodes}
+    cap = schedule_cost(g, asap, default_lib, ArchMode.FGDVS, t.latency_bound).power
+    assert calls == {"switch": 1, "priced": 1}
+    assert list_schedule(g, t, default_lib, ArchMode.FGDVS, Budget(power_cap=cap)) == asap
+    assert calls == {"switch": 1501, "priced": 1501}
+
+    # diffeq under a cap just below its greedy cost: candidates are
+    # rejected and taken back, and each one priced is charged once
+    undos = []
+    real_undo = power.CostState.undo
+    monkeypatch.setattr(power.CostState, "undo", lambda state: undos.append(real_undo(state)))
+    t = compute_timing(diffeq, 1)
+    greedy = list_schedule(diffeq, t, default_lib, ArchMode.FGDVS, priority=Priority.MAX_DURATION)
+    cap = schedule_cost(diffeq, greedy, default_lib, ArchMode.FGDVS, t.latency_bound).power
+    calls.update(switch=0, priced=0)
+    list_schedule(
+        diffeq, t, default_lib, ArchMode.FGDVS, Budget(power_cap=cap * 0.99), Priority.MAX_DURATION
+    )
+    assert undos
+    assert calls["switch"] == calls["priced"]

@@ -22,6 +22,7 @@ from dvsched import (
     parse_dfg,
     schedule_cost,
 )
+from dvsched.power import CostState
 
 import support
 from conftest import BENCH_NAMES, load_bench
@@ -314,6 +315,32 @@ def test_power_rejects_completion_past_bound():
     g = parse_dfg("name one\nnode 1 mul\n")
     with pytest.raises(ValueError):
         schedule_cost(g, {1: (1, 2)}, TINY, ArchMode.FGDVS, 1)
+
+
+def test_cost_state_contract():
+    g = parse_dfg("name two\nnode 1 mul\nnode 2 mul\n")
+    # a start before step 1 is refused, not priced
+    for start in (0, -1):
+        with pytest.raises(ValueError, match="before step 1"):
+            schedule_cost(g, {1: (start, 1)}, TINY, ArchMode.FGDVS, 3)
+    # every row is looked up before any node is placed, so an unusable
+    # duration wins over a node that completes after the bound
+    with pytest.raises(LibraryError, match="7 cycles"):
+        schedule_cost(g, {1: (3, 2), 2: (1, 7)}, TINY, ArchMode.FGDVS, 3)
+    # a priced CostTuple is the caller's: later adds and undos leave it be,
+    # and an undo of a type's last op takes the type out of the area
+    price = TINY.pricing(ArchMode.FGDVS)
+    state = CostState(price, 3)
+    state.add(1, "mul", 1, price.lookup(1, "mul", 1))
+    cost = state.cost()
+    before = repr(cost)
+    state.undo()
+    assert state.cost().area_by_type == {}
+    state.add(1, "mul", 1, price.lookup(1, "mul", 1))
+    state.add(2, "mul", 1, price.lookup(2, "mul", 2))
+    assert state.cost().area_by_type == {"mul": 2}
+    state.undo()
+    assert repr(state.cost()) == repr(cost) == before
 
 
 @settings(max_examples=60, deadline=None)

@@ -70,12 +70,12 @@ def main() -> int:
     ap.add_argument("--limit", type=float, default=10.0, help="seconds per run; 0 = none")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--cells", nargs="*", help="graph:k:mode; default 7 graphs x k 0..2 x "
-                    "single-vdd, multi-vdd")
+                    "the 3 modes")
     ap.add_argument("--against", type=Path, help="a grid JSON to compare this run with")
     args = ap.parse_args()
     against = json.loads(args.against.read_text()) if args.against else None
     cells = args.cells or [f"{g}:{k}:{m}" for g in GRAPHS for k in range(3)
-                           for m in ("single-vdd", "multi-vdd")]
+                           for m in ("single-vdd", "multi-vdd", "fgdvs")]
     src = str(Path(args.src).resolve())
     result = {}
     for cell in cells:
