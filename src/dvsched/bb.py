@@ -31,24 +31,30 @@ lookup cuts nothing, so this too changes no result.  FGDVS is left out: its
 switching charge depends on how every op binds, which the state does not
 capture.
 
-The prefix power counts dynamic and leakage only.  The FGDVS switching
-overhead of a completed schedule is *not* monotone in its prefixes (a
-later op can raise the unit count and let an earlier op bind switch-free),
-so including it would over-prune; it is charged only on complete
-schedules.  A leaf is costed from the walk's own state: the area and the
-unit counts it tracks, and per node the row of its level in the mode's
-``Pricing`` table.  ``Pricing.cost`` sums the rows' terms and the units'
-always-on leakage, and ``switch_charges`` prices the switching where the
-table charges it.  ``schedule_cost`` reads the same rows and calls the
-same two functions, so the CostTuples are bit-identical by construction.
-The schedule dict is built only for the first solution and for a leaf the
-front does not already cover.
+The prefix power counts dynamic and leakage and, under FGDVS, the switch
+charges of each closed type: a type whose last position is placed.  Its
+ops and its unit count are then final (its one unit kind peaks only when
+its own ops are placed), and so are the charges of binding them.  An open
+type's charges are not final, since a later op can raise its unit count
+and let an earlier op bind switch-free, but they are never negative, so
+the bound leaves them out.  The walk binds a type with
+``type_switch_charges`` at its last position, unless the bound without
+its charges already prunes there, and adds the charges to the bound one
+at a time, stopping as soon as it prunes.  A leaf is costed from the
+walk's own state: the area and the unit counts it tracks, per node the
+row of its level in the mode's ``Pricing`` table, and each type's charges
+from its close.  ``Pricing.cost`` sums the rows' terms, the units'
+always-on leakage and the charges.  ``schedule_cost`` reads the same rows
+and binds with the same rule, so the CostTuples are bit-identical by
+construction.  The schedule dict is built only for the first solution and
+for a leaf the front does not already cover.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from math import inf
 from operator import getitem, itemgetter
 from struct import Struct, calcsize
@@ -63,7 +69,7 @@ from .power import (
     ParetoSet,
     ResourceLibrary,
     schedule_cost,
-    switch_charges,
+    type_switch_charges,
 )
 
 
@@ -110,6 +116,7 @@ class SearchReport:
     state_prunes: int
     state_lookups: int  # states looked up in the state cut's table
     leaves: int  # complete schedules the walk reached and costed
+    switch_binds: int  # FGDVS types bound for their switch charges
     completed: bool
     elapsed: float
 
@@ -244,14 +251,23 @@ def _run(
         # shorter than its fastest level), or some type in the graph may
         # have no unit: no schedule exists, so the search is complete
         # before it starts.
-        return SearchReport(ParetoSet(), None, 0, 0, 0, 0, 0, 0, completed=True, elapsed=0.0)
+        return SearchReport(ParetoSet(), None, 0, 0, 0, 0, 0, 0, 0, completed=True, elapsed=0.0)
     bound_at, last_end = path_tables
     power_cap = cfg.budget.power_cap
+    cap_line = inf if power_cap is None else power_cap + POWER_EPS
 
     # The positions of each type, whose ops the FGDVS binder takes per type.
+    # Once a type's last position is placed, its ops and its unit count are
+    # final (its one unit kind peaks only when its own ops are placed), and
+    # so are its switch charges: closes[i] says that i is such a position
+    # where switching is charged.
     type_positions = [
         [i for i, v in enumerate(order) if g.nodes[v] == op] for op in type_names
     ]
+    closes = [False] * n
+    if price.switching:
+        for at in type_positions:
+            closes[at[-1]] = True
 
     # Every type whose first node sits at position i or later has no unit
     # yet (each placed node holds a unit for at least one step) and will
@@ -319,13 +335,16 @@ def _run(
     type_area = [0] * len(type_names)
     starts = [0] * n
     durs = [0] * n
+    binder = [None] * n  # per placed position, its op as the switch binder takes it
+    type_charges: list[list[float]] = [[] for _ in type_names]  # per closed type
 
     front = ParetoSet()
     archive_pts = front.points  # (area, power) per member, kept in place by insert
-    expanded = budget_prunes = dominance_prunes = leaves = 0
+    expanded = budget_prunes = dominance_prunes = leaves = switch_binds = 0
     states: dict[bytes, float] = {}  # state key -> least cur_power seen with it
     older: dict[bytes, float] = {}  # the previous generation of states
     cur_area, cur_power = 0, 0.0  # the placed prefix's area and dyn+leak power
+    cur_sw = 0.0  # the switch charges of the types closed by the prefix
     first: FirstSolution | None = None
     # The dominance prune starts at the first solution.  Until then no leaf
     # has reached the archive, so the walk is the tree bb_first walks and
@@ -342,15 +361,10 @@ def _run(
         nonlocal first, leaves
         leaves += 1
         picked = list(map(getitem, rows_at, durs))
-        switching = []
-        if price.switching:
-            switching = switch_charges(
-                [[(starts[i], order[i], durs[i], picked[i][4]) for i in at] for at in type_positions],
-                type_area,
-            )
         cost = price.cost(
             dict(zip(type_names, type_area)), map(itemgetter(2), picked),
-            map(itemgetter(3), picked), enumerate(cur_max), switching, bound,
+            map(itemgetter(3), picked), enumerate(cur_max), chain.from_iterable(type_charges),
+            bound,
         )
         if cfg.debug_check:  # raised, not asserted, so that it also runs under -O
             sched = schedule()
@@ -403,10 +417,12 @@ def _run(
     tallies = [[0, 0, 0, GATE_WARMUP] for _ in range(n + 1)] if state_cut else []
     gate: list[list[int] | None] = list(tallies) if state_cut else [None] * (n + 1)
 
-    # A move is (start, duration, kind, energy).  Per type and start, its
-    # moves fastest first, one set of tuples for all the type's positions.
+    # A move is (start, duration, kind, energy, binder entry).  Per type and
+    # start, its moves fastest first, one set of tuples for all the type's
+    # positions; their last field is the level's psw until moves() makes it
+    # the op's (start, node id, cycles, psw) where switching is charged.
     step_moves = {
-        op: [tuple((t, cycles, kind, dyn + leak) for cycles, kind, dyn, leak, _psw in rows.values())
+        op: [tuple((t, cycles, kind, dyn + leak, psw) for cycles, kind, dyn, leak, psw in rows.values())
              for t in range(bound + 1)]
         for op, rows in usable.items()
     }
@@ -415,14 +431,17 @@ def _run(
     # ascending, then fastest first, each ending by last_end.  Built the
     # first time they are reached.  A parent ends no later than
     # its child's alap, so every earliest start has a slot.
-    tables: list[list[tuple[tuple[int, int, int, float], ...] | None]] = [
+    tables: list[list[tuple[tuple, ...] | None]] = [
         [None] * (alap_a[i] - asap_a[i] + 1) for i in range(n)
     ]
 
-    def moves(i: int, earliest: int) -> tuple[tuple[int, int, int, float], ...]:
+    def moves(i: int, earliest: int) -> tuple[tuple, ...]:
         last = last_end[i]
         at = moves_at[i]
         table = tuple(move for t in range(earliest, last) for move in at[t] if move[1] <= last - t)
+        if price.switching:
+            nid = order[i]
+            table = tuple((t, d, k, e, (t, nid, d, psw)) for t, d, k, e, psw in table)
         tables[i][earliest - asap_a[i]] = table
         return table
 
@@ -462,7 +481,7 @@ def _run(
             break
         # What positions i+1.. must still pay in energy, by the end of i's move.
         bound_row, base = bound_at[i], asap_a[i]
-        for t, dur, kind, energy in todo[i]:
+        for t, dur, kind, energy, entry in todo[i]:
             # Place.
             row = hist[kind]
             old_max = cur_max[kind]
@@ -485,6 +504,7 @@ def _run(
                 cur_power = old_power + energy
             starts[i] = t
             durs[i] = dur
+            binder[i] = entry
             expanded += 1
             # Prune or descend: bound what any completion must cost.
             p = i + 1
@@ -493,11 +513,12 @@ def _run(
             lb_power = cur_power + bound_row[t + dur - base]
             for leak in leaks:
                 lb_power += leak
+            lb_power += cur_sw
             pruned = False
             if caps is not None and type_area[ti] > caps[ti]:
                 budget_prunes += 1
                 pruned = True
-            elif power_cap is not None and lb_power > power_cap + POWER_EPS:
+            elif lb_power > cap_line:
                 budget_prunes += 1
                 pruned = True
             elif prune_dom:
@@ -507,6 +528,31 @@ def _run(
                         dominance_prunes += 1
                         pruned = True
                         break
+            if not pruned and closes[i]:
+                # i closes its type: bind it, adding each charge to the bound
+                # as it comes, and stop as soon as the bound prunes.  Charges
+                # only add, so a prefix of them that prunes, the whole does.
+                switch_binds += 1
+                line = inf  # the least power of a member the bound's area covers
+                if prune_dom:
+                    for am, pm in archive_pts:
+                        if am <= lb_area and pm < line:
+                            line = pm
+                charges = []
+                ops = list(map(binder.__getitem__, type_positions[ti]))
+                for charge in type_switch_charges(ops, type_area[ti]):
+                    charges.append(charge)
+                    lb_power += charge
+                    if lb_power > cap_line:
+                        budget_prunes += 1
+                        pruned = True
+                        break
+                    if line <= lb_power + POWER_EPS:
+                        dominance_prunes += 1
+                        pruned = True
+                        break
+                else:
+                    type_charges[ti] = charges
             if not pruned:
                 tally = gate[p]
                 if tally is not None:
@@ -526,7 +572,9 @@ def _run(
                             entered[p] = expanded
                 if not pruned:
                     if p < n:
-                        undo[i] = (kind, old_max, old_type_area, old_area, old_power)
+                        undo[i] = (kind, old_max, old_type_area, old_area, old_power, cur_sw)
+                        if closes[i]:
+                            cur_sw += sum(charges)
                         earliest = asap_a[p]
                         for u in parents[p]:
                             end = starts[u] + durs[u]
@@ -557,7 +605,7 @@ def _run(
             if tally is not None:
                 tally[2] += expanded - entered[i]
             i -= 1
-            kind, old_max, old_type_area, cur_area, cur_power = undo[i]
+            kind, old_max, old_type_area, cur_area, cur_power, cur_sw = undo[i]
             row = hist[kind]
             t = starts[i]
             for step in range(t, t + durs[i]):
@@ -574,6 +622,7 @@ def _run(
         state_prunes=sum(tally[1] for tally in tallies),
         state_lookups=sum(tally[0] for tally in tallies),
         leaves=leaves,
+        switch_binds=switch_binds,
         completed=completed,
         elapsed=elapsed,
     )

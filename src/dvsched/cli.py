@@ -190,6 +190,7 @@ def _counters_json(report: SearchReport) -> dict:
         "state_prunes": report.state_prunes,
         "state_lookups": report.state_lookups,
         "leaves": report.leaves,
+        "switch_binds": report.switch_binds,
     }
 
 

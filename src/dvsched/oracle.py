@@ -48,7 +48,7 @@ def state_space_estimate(
     take, by default every library level's.
     """
     if durations is None:
-        durations = lib.allowed_durations()
+        durations = lib.pricing(ArchMode.FGDVS).durations()
     estimate = 1
     for v, op in g.nodes.items():
         lib.levels(op)  # raises LibraryError for a type not in the library
@@ -71,7 +71,7 @@ def enumerate_schedules(
     source completes.
     """
     if durations is None:
-        durations = lib.allowed_durations()
+        durations = lib.pricing(ArchMode.FGDVS).durations()
     estimate = state_space_estimate(g, timing, lib, durations)
     if len(g.nodes) > bound.max_nodes or estimate > bound.max_states:
         raise StateSpaceTooLarge(len(g.nodes), estimate, bound)

@@ -108,12 +108,6 @@ class ResourceLibrary:
         except KeyError:
             raise LibraryError(f"op type {op!r} is not in the library") from None
 
-    def fastest(self, op: str) -> VoltageLevel:
-        return self.levels(op)[0]
-
-    def allowed_durations(self) -> dict[str, frozenset[int]]:
-        return {op: frozenset(lvl.cycles for lvl in self.levels(op)) for op in self._levels}
-
     def pricing(self, mode: ArchMode) -> Pricing:
         """The mode's price table for this library, built on first use."""
         table = self._pricing.get(mode)
@@ -268,44 +262,49 @@ class Pricing:
         )
 
 
+def type_switch_charges(ops: list[tuple[int, int, int, float]], units: int) -> Iterator[float]:
+    """One op type's FGDVS switch charges under greedy instance binding,
+    yielded in binding order.
+
+    ``ops`` holds the type's ops as ``(start, node id, cycles, psw of the
+    op's level)`` and ``units`` its unit count by the FGDVS area rule.  The
+    list is sorted in place and its ops are bound in ascending (start, node
+    id) order to the type's unit pool.  An op is charged its level's psw
+    unless it lands on a never-used unit or on a free unit whose previous op
+    had the same duration.  Preference: same-duration free unit, then
+    never-used unit, then any free unit (charged); ties go to the lowest unit
+    index.  This is the only switching rule: ``switch_charges`` lists its
+    charges, and the search reads them one at a time, so it can stop once
+    the charges so far already prune.
+    """
+    ops.sort()
+    # Never-used units are taken lowest index first, so the used ones are
+    # always the first len(pool) units.
+    pool: list[list[int]] = []  # [busy_until, last_dur] per used unit
+    for start, _nid, dur, p_sw in ops:
+        spare = None  # the first free used unit
+        for unit in pool:
+            if unit[0] < start:
+                if unit[1] == dur:
+                    break
+                spare = spare or unit
+        else:
+            if len(pool) < units:
+                pool.append([start + dur - 1, dur])
+                continue
+            unit = spare
+            yield p_sw
+        unit[0] = start + dur - 1
+        unit[1] = dur
+
+
 def switch_charges(
     ops_by_type: Iterable[list[tuple[int, int, int, float]]], units: Iterable[int]
 ) -> list[float]:
-    """The FGDVS switch charges of a schedule under greedy instance binding.
-
-    ``ops_by_type`` holds one list per op type of its ops as
-    ``(start, node id, cycles, psw of the op's level)``, and ``units`` the
-    type's unit count by the FGDVS area rule, in the same order.  Each list
-    is sorted in place and its ops are bound in ascending (start, node id)
-    order to the type's unit pool.  An op is charged its level's psw unless
-    it lands on a never-used unit or on a free unit whose previous op had
-    the same duration.  Preference: same-duration free unit, then never-used
-    unit, then any free unit (charged); ties go to the lowest unit index.
-    This is the only switching rule: ``CostState`` and the search's leaf
-    costing both call it, and ``Pricing.cost`` sums the charges.
-    """
-    charges: list[float] = []
-    for ops, count in zip(ops_by_type, units):
-        ops.sort()
-        # Never-used units are taken lowest index first, so the used ones
-        # are always the first len(pool) units.
-        pool: list[list[int]] = []  # [busy_until, last_dur] per used unit
-        for start, _nid, dur, p_sw in ops:
-            spare = None  # the first free used unit
-            for unit in pool:
-                if unit[0] < start:
-                    if unit[1] == dur:
-                        break
-                    spare = spare or unit
-            else:
-                if len(pool) < count:
-                    pool.append([start + dur - 1, dur])
-                    continue
-                unit = spare
-                charges.append(p_sw)
-            unit[0] = start + dur - 1
-            unit[1] = dur
-    return charges
+    """The FGDVS switch charges of a schedule: ``type_switch_charges`` of
+    each op list in ``ops_by_type`` with the unit count at the same place in
+    ``units``, in that order.  ``Pricing.cost`` sums them."""
+    return [c for ops, count in zip(ops_by_type, units) for c in type_switch_charges(ops, count)]
 
 
 @dataclass

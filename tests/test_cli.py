@@ -372,7 +372,7 @@ def test_budget_bb_first_time_limit_writes_sidecar(tmp_path, capsys):
         "algorithm": "bb-first", "completed": False, **{
             key: data[key] for key in (
                 "nodes_expanded", "budget_prunes", "dominance_prunes", "state_prunes",
-                "state_lookups", "leaves",
+                "state_lookups", "leaves", "switch_binds",
             )
         },
     }
@@ -663,7 +663,7 @@ def under(prefix: str, keys: set[str]) -> set[str]:
 FRONT = {"area", "area_by_type", "dynamic", "latency", "leakage", "power", "schedule", "switching"}
 COUNTERS = {
     "budget_prunes", "dominance_prunes", "leaves", "nodes_expanded", "state_lookups",
-    "state_prunes",
+    "state_prunes", "switch_binds",
 }
 REPORT = {
     "completed", "elapsed", "front", "front_size", *COUNTERS,

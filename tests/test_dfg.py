@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvsched import (
+    ArchMode,
     CycleError,
     DfgParseError,
     compute_timing,
@@ -264,7 +265,7 @@ def test_validate_library_durations():
     g = parse_dfg("name one\nnode 1 mul\n")
     t = compute_timing(g, 4)
     lib = load_resource_library(support.TINY_LIB)
-    allowed = lib.allowed_durations()
+    allowed = lib.pricing(ArchMode.FGDVS).durations()
     assert validate_schedule(g, t, {1: (1, 3)}, allowed) is None
     v = validate_schedule(g, t, {1: (1, 4)}, allowed)
     assert v is not None and v.rule == "duration"
@@ -286,4 +287,4 @@ def test_random_walk_schedules_validate(seed, k):
     g, lib = support.random_instance(rng, state_cap=10**6)
     t = compute_timing(g, k)
     s = support.random_schedule(rng, g, t, lib)
-    assert validate_schedule(g, t, s, lib.allowed_durations()) is None
+    assert validate_schedule(g, t, s, lib.pricing(ArchMode.FGDVS).durations()) is None

@@ -126,7 +126,7 @@ def test_feasible_results_validate_and_fit_budget(seed, k):
             s = list_schedule(g, t, lib, mode, b, pr)
             if s is None:
                 continue
-            assert validate_schedule(g, t, s, lib.allowed_durations()) is None
+            assert validate_schedule(g, t, s, lib.pricing(ArchMode.FGDVS).durations()) is None
             cost = schedule_cost(g, s, lib, mode, t.latency_bound)
             assert b.allows(cost.area_by_type, cost.power)
 

@@ -95,7 +95,7 @@ def test_enumeration_is_valid_unique_and_complete():
     g = parse_dfg(PAIR)
     t = compute_timing(g, 2)
     seen = set()
-    allowed = TINY.allowed_durations()
+    allowed = TINY.pricing(ArchMode.FGDVS).durations()
     for s in enumerate_schedules(g, t, TINY):
         key = tuple(sorted(s.items()))
         assert key not in seen
@@ -115,7 +115,7 @@ def test_durations_map_restricts_the_enumeration_in_order():
             if all(d in slow["mul"] for _start, d in s.values())]
     assert list(enumerate_schedules(g, t, TINY, durations=slow)) == want
     assert state_space_estimate(g, t, TINY, slow) == (3 * 2) ** 2
-    assert state_space_estimate(g, t, TINY, TINY.allowed_durations()) == (3 * 3) ** 2
+    assert state_space_estimate(g, t, TINY, TINY.pricing(ArchMode.FGDVS).durations()) == (3 * 3) ** 2
 
 
 def test_type_missing_from_the_library_is_a_library_error():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from dvsched import (
     parse_dfg,
     schedule_cost,
 )
-from dvsched.power import CostState
+from dvsched.power import CostState, switch_charges, type_switch_charges
 
 import support
 from conftest import BENCH_NAMES, load_bench
@@ -57,7 +58,6 @@ def test_default_library_levels(default_lib):
     levels = default_lib.levels("mul")
     assert [lv.cycles for lv in levels] == [1, 2, 3]
     assert [lv.vdd for lv in levels] == [1.0, 0.78, 0.68]
-    assert default_lib.fastest("mul").cycles == 1
     assert [lv.cycles for lv in default_lib.levels("add")] == [1, 2, 3]
 
 
@@ -96,7 +96,9 @@ def test_pricing_table_of_default_lib(default_lib):
     assert list(fgdvs.rows("comp").values()) == [
         (1, 2, 4.0, 0.15, 0.35), (2, 2, 1.22 * 2, 0.1 * 2, 0.35), (3, 2, 0.62 * 3, 0.08 * 3, 0.35),
     ]
-    assert fgdvs.durations() == multi.durations() == default_lib.allowed_durations()
+    assert fgdvs.durations() == multi.durations() == {
+        op: frozenset(lv.cycles for lv in default_lib.levels(op)) for op in default_lib.op_types()
+    }
     assert default_lib.pricing(ArchMode.FGDVS) is fgdvs  # built once per mode
 
     with pytest.raises(LibraryError, match="op type 'div' is not in the library"):
@@ -309,6 +311,38 @@ def test_power_fresh_instance_never_charges():
     assert units(g, s, TINY, ArchMode.FGDVS) == (2, {"mul": 2})
     cost = schedule_cost(g, s, TINY, ArchMode.FGDVS, 2)
     assert cost.switching == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_type_switch_charges_stream_the_binding(seed):
+    # One type's ops as (start, node id, cycles, psw), with starts drawn from
+    # a narrow range (so many are equal) or laid end to end (one unit), and a
+    # unit count from the peak concurrency up to one unit per op.
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    durs = [rng.randint(1, 3) for _ in range(n)]
+    if rng.random() < 0.3:
+        starts, t = [], 1
+        for d in durs:
+            t += rng.randint(0, 2)
+            starts.append(t)
+            t += d
+    else:
+        starts = [rng.randint(1, 4) for _ in range(n)]
+    ops = [(t, nid, d, rng.choice((0.0, 0.35, 1.5))) for nid, (t, d) in enumerate(zip(starts, durs))]
+    rng.shuffle(ops)
+    peak = max(sum(t <= step < t + d for t, _nid, d, _psw in ops) for step in range(1, 20))
+    for units in sorted({peak, rng.randint(peak, n), n}):
+        full = switch_charges([list(ops)], [units])
+        assert list(type_switch_charges(list(ops), units)) == full
+        assert all(c >= 0.0 for c in full)
+        # What the generator has yielded so far is a prefix of its final
+        # list, so a running sum of it never exceeds the whole charge.
+        for j in range(len(full) + 1):
+            assert list(islice(type_switch_charges(list(ops), units), j)) == full[:j]
+        if units == n:
+            assert full == []  # every op binds a never-used unit
 
 
 def test_power_rejects_completion_past_bound():

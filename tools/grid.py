@@ -49,6 +49,7 @@ print(json.dumps({
     "budget_prunes": rep.budget_prunes, "dominance_prunes": rep.dominance_prunes,
     "state_prunes": getattr(rep, "state_prunes", None), "leaves": getattr(rep, "leaves", None),
     "state_lookups": getattr(rep, "state_lookups", None),
+    "switch_binds": getattr(rep, "switch_binds", None),
     "front": rep.front.cost_points(),
     "kept": hashlib.sha256(repr(kept).encode()).hexdigest()[:16],
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
