@@ -59,7 +59,7 @@ from math import inf
 from operator import getitem, itemgetter
 from struct import Struct, calcsize
 
-from .dfg import Dfg, Schedule, TimingInfo, topological_order
+from .dfg import Dfg, Schedule, TimingInfo
 from .listsched import Priority, list_schedule
 from .power import (
     POWER_EPS,
@@ -205,7 +205,7 @@ def _run(
     cfg: SearchConfig,
     stop_after_first: bool,
 ) -> SearchReport:
-    order = topological_order(g)
+    order = g.order
     n = len(order)
     bound = timing.latency_bound
     price = lib.pricing(cfg.mode)

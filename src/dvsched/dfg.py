@@ -53,6 +53,8 @@ class Dfg:
     edges: tuple[tuple[int, int], ...]
     preds: dict[int, tuple[int, ...]] = field(init=False, repr=False)
     succs: dict[int, tuple[int, ...]] = field(init=False, repr=False)
+    # The topological order, computed once; topological_order(g) copies it.
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.edges = tuple(tuple(e) for e in self.edges)
@@ -69,6 +71,7 @@ class Dfg:
             preds[v].add(u)
         self.preds = {v: tuple(sorted(preds[v])) for v in self.nodes}
         self.succs = {v: tuple(sorted(succs[v])) for v in self.nodes}
+        self.order = _kahn_order(self)
         _find_cycle(self)  # raises CycleError on any directed cycle
 
     def __len__(self) -> int:
@@ -78,7 +81,7 @@ class Dfg:
 def _find_cycle(g: Dfg) -> None:
     # The nodes a topological order cannot reach are those on or after a
     # cycle, whatever the order pops.
-    leftover = set(g.nodes).difference(topological_order(g))
+    leftover = set(g.nodes).difference(g.order)
     if not leftover:
         return
     # Walk successors inside the leftover set until a node repeats.
@@ -151,8 +154,15 @@ def parse_dfg(text: str) -> Dfg:
 def topological_order(g: Dfg) -> list[int]:
     """Topological order of node ids, ties broken by ascending id.
 
-    Deterministic, and invariant under permutation of the edge list.
+    Deterministic, and invariant under permutation of the edge list.  The
+    graph computes it once, as ``g.order``; this returns a copy.
     """
+    return list(g.order)
+
+
+def _kahn_order(g: Dfg) -> tuple[int, ...]:
+    # Kahn's algorithm with a min-heap of ready ids; a node on or after a
+    # cycle never becomes ready, so it is left out.
     indeg = {v: len(g.preds[v]) for v in g.nodes}
     ready = [v for v, d in sorted(indeg.items()) if d == 0]
     heapq.heapify(ready)
@@ -164,7 +174,7 @@ def topological_order(g: Dfg) -> list[int]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    return out
+    return tuple(out)
 
 
 @dataclass
@@ -188,7 +198,7 @@ def compute_timing(g: Dfg, slack: int = 0) -> TimingInfo:
     """
     if slack < 0:
         raise ValueError(f"slack must be >= 0, got {slack}")
-    order = topological_order(g)
+    order = g.order
     asap: dict[int, int] = {}
     for v in order:
         ps = g.preds[v]

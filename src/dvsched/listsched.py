@@ -39,7 +39,10 @@ def list_schedule(
     within the budget.  With no budget and MIN_DURATION this degenerates to
     the unit-duration ASAP schedule.  Under a budget, the prefix with a
     candidate added is priced by a ``CostState``, the candidate taken back
-    if the budget rejects it; with no budget nothing is priced.
+    if the budget rejects it; with no budget nothing is priced.  A pricing
+    costs what changed since the last one, so outside FGDVS the pass is
+    linear in the graph size; under FGDVS a candidate also costs binding
+    the ops of its type after it in (start, node id) order again.
     """
     price = lib.pricing(mode)
     prefix = None if budget.unconstrained else CostState(price, timing.latency_bound)

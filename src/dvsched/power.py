@@ -15,7 +15,11 @@ first use; the search, the list scheduler, the oracle and ``validate`` read it.
 Cycle counts are unique within an op type, so (type, duration) identifies
 a node's level.  ``CostState`` turns placed nodes and their rows into a
 ``CostTuple``: the list scheduler prices each candidate with it, and
-``schedule_cost`` adds a whole schedule to one.
+``schedule_cost`` adds a whole schedule to one.  A pricing costs what
+changed since the last one: the terms of rows priced before are kept as
+exact running sums (Shewchuk's partials, as in ``math.fsum``), and under
+FGDVS a candidate costs the ops of its type after it in (start, node id)
+order, which are bound again from its place.
 
 Library file format (line oriented, ``#`` starts a comment)::
 
@@ -31,7 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from bisect import bisect_left, bisect_right
+from itertools import chain, islice
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -262,26 +267,29 @@ class Pricing:
         )
 
 
-def type_switch_charges(ops: list[tuple[int, int, int, float]], units: int) -> Iterator[float]:
-    """One op type's FGDVS switch charges under greedy instance binding,
-    yielded in binding order.
+def _bind(
+    ops: list[tuple[int, int, int, float]],
+    units: int,
+    pool: list[list[int]],
+    first: int,
+    seats: list[int] | None,
+) -> Iterator[float]:
+    """The greedy FGDVS binding rule: bind ``ops[first:]``, in list order,
+    onto one op type's units and yield the psw of each op charged.
 
-    ``ops`` holds the type's ops as ``(start, node id, cycles, psw of the
-    op's level)`` and ``units`` its unit count by the FGDVS area rule.  The
-    list is sorted in place and its ops are bound in ascending (start, node
-    id) order to the type's unit pool.  An op is charged its level's psw
-    unless it lands on a never-used unit or on a free unit whose previous op
-    had the same duration.  Preference: same-duration free unit, then
+    ``pool`` holds ``[busy until, last duration, unit index]`` per used unit,
+    in unit order, as the ops before ``first`` left it, and is updated in
+    place; at most ``units`` units are used.  An op is charged its level's
+    psw unless it lands on a never-used unit or on a free unit whose previous
+    op had the same duration.  Preference: same-duration free unit, then
     never-used unit, then any free unit (charged); ties go to the lowest unit
-    index.  This is the only switching rule: ``switch_charges`` lists its
-    charges, and the search reads them one at a time, so it can stop once
-    the charges so far already prune.
+    index.  Never-used units are taken lowest index first, so the used ones
+    are always the first len(pool) units.  When ``seats`` is a list, each
+    op's unit index is appended to it once the op is bound, so while a
+    charge is yielded ``ops[len(seats)]`` is the op it charges.
     """
-    ops.sort()
-    # Never-used units are taken lowest index first, so the used ones are
-    # always the first len(pool) units.
-    pool: list[list[int]] = []  # [busy_until, last_dur] per used unit
-    for start, _nid, dur, p_sw in ops:
+    record = None if seats is None else seats.append
+    for start, _nid, dur, p_sw in islice(ops, first, None) if first else ops:
         spare = None  # the first free used unit
         for unit in pool:
             if unit[0] < start:
@@ -290,21 +298,150 @@ def type_switch_charges(ops: list[tuple[int, int, int, float]], units: int) -> I
                 spare = spare or unit
         else:
             if len(pool) < units:
-                pool.append([start + dur - 1, dur])
+                unit = [start + dur - 1, dur, len(pool)]
+                pool.append(unit)
+                if record:
+                    record(unit[2])
                 continue
             unit = spare
             yield p_sw
         unit[0] = start + dur - 1
         unit[1] = dur
+        if record:
+            record(unit[2])
 
 
-def switch_charges(
-    ops_by_type: Iterable[list[tuple[int, int, int, float]]], units: Iterable[int]
-) -> list[float]:
-    """The FGDVS switch charges of a schedule: ``type_switch_charges`` of
-    each op list in ``ops_by_type`` with the unit count at the same place in
-    ``units``, in that order.  ``Pricing.cost`` sums them."""
-    return [c for ops, count in zip(ops_by_type, units) for c in type_switch_charges(ops, count)]
+def type_switch_charges(ops: list[tuple[int, int, int, float]], units: int) -> Iterator[float]:
+    """One op type's FGDVS switch charges under greedy instance binding
+    (``_bind``), yielded in binding order.
+
+    ``ops`` holds the type's ops as ``(start, node id, cycles, psw of the
+    op's level)`` and ``units`` its unit count by the FGDVS area rule.  The
+    list is sorted in place and its ops are bound in ascending (start, node
+    id) order.  ``CostState`` keeps these charges per type, and the search
+    reads them one at a time, so it can stop once the charges so far
+    already prune.
+    """
+    ops.sort()
+    return _bind(ops, units, [], 0, None)
+
+
+def _fold(partials: list[float], x: float) -> None:
+    """Add ``x`` to ``partials``, nonoverlapping floats of increasing
+    magnitude whose exact sum is the exact sum of the terms added so far
+    (Shewchuk's grow-expansion, as in ``math.fsum``), so that ``math.fsum``
+    of the partials and more terms is ``math.fsum`` of all the terms.  Exact
+    while the sum of the terms fits a float."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+class _Binder:
+    """One FGDVS op type's ops and their greedy binding, kept so that it can
+    be resumed.
+
+    ``ops`` is in (start, node id) order once the type has been bound;
+    before that ``CostState.extend`` appends to it, and the first ``bind``
+    sorts it and binds it in one pass, which is all that ``schedule_cost``
+    needs.  From the second ``bind`` on the binding is kept: ``seats[i]`` is
+    the unit of ``ops[i]`` for every i below ``clean``, ``opened[u]`` the
+    index of the op that opened unit u, ``paid`` the charged ops in order
+    and ``counts`` how many of them pay each psw.  ``terms`` holds the
+    charges as floats whose exact sum is theirs, for ``Pricing.cost``.
+    """
+
+    __slots__ = ("ops", "units", "dirty", "clean", "seats", "opened", "paid", "counts", "terms")
+
+    def __init__(self) -> None:
+        self.ops: list[tuple[int, int, int, float]] = []
+        self.units: int | None = None  # the unit count of the binding
+        self.dirty = True  # an op was added or taken back since the binding
+        self.seats: list[int] | None = None
+
+    def add(self, entry: tuple[int, int, int, float]) -> None:
+        """Insert ``entry`` at its place in a bound type."""
+        at = bisect_left(self.ops, entry)
+        self.ops.insert(at, entry)
+        self.clean = min(self.clean, at)
+        self.dirty = True
+
+    def remove(self, entry: tuple[int, int, int, float]) -> None:
+        """Take back ``entry``, the op of the last ``add``."""
+        if self.units is None:
+            self.ops.pop()
+        else:
+            at = bisect_left(self.ops, entry)
+            del self.ops[at]
+            self.clean = min(self.clean, at)
+        self.dirty = True
+
+    def bind(self, units: int) -> None:
+        """Bring the binding up to date for ``units`` units.
+
+        The binding of the ops before the first op added or taken back is
+        kept, and so, when the unit count grows, is that of the ops before
+        the first charged op (none of them found every unit in use), and,
+        when it shrinks to U, that of the ops before the one that opened
+        unit U.  From there the greedy binding resumes on the pool those
+        ops left, rebuilt by walking back over their units.
+        """
+        if not self.dirty and units == self.units:
+            return
+        ops = self.ops
+        if self.units is None:  # the first binding: one pass, nothing kept
+            self.terms = list(type_switch_charges(ops, units))
+            self.units, self.clean, self.dirty = units, len(ops), False
+            return
+        if self.seats is None:  # the second: bind again, keeping the binding
+            self.seats, self.opened, self.paid, self.counts = [], [], [], {}
+            at = 0
+        else:
+            at = self.clean
+            if units > self.units and self.paid:
+                at = min(at, bisect_left(ops, self.paid[0]))
+            elif units < self.units and len(self.opened) > units:
+                at = min(at, self.opened[units])
+        self.units, self.clean, self.dirty = units, len(ops), False
+        seats, opened, paid, counts = self.seats, self.opened, self.paid, self.counts
+        # Drop what the ops from ``at`` on (or the op taken back there) held.
+        del seats[at:]
+        del opened[bisect_left(opened, at):]
+        cut = bisect_right(paid, ops[at - 1]) if at else 0
+        for entry in paid[cut:]:
+            counts[entry[3]] -= 1
+        del paid[cut:]
+        if at < len(ops):
+            pool: list = [None] * len(opened)
+            missing = len(pool)
+            j = at
+            while missing:
+                j -= 1
+                unit = seats[j]
+                if pool[unit] is None:
+                    start, _nid, dur, _psw = ops[j]
+                    pool[unit] = [start + dur - 1, dur, unit]
+                    missing -= 1
+            for p_sw in _bind(ops, units, pool, at, seats):
+                paid.append(ops[len(seats)])
+                counts[p_sw] = counts.get(p_sw, 0) + 1
+            opened += [seats.index(unit, at) for unit in range(len(opened), len(pool))]
+        # n copies of psw sum to psw * n exactly: psw times each power of
+        # two in n, each of them exact.
+        self.terms = [
+            p_sw * (1 << bit)
+            for p_sw, n in counts.items()
+            for bit in range(n.bit_length())
+            if n >> bit & 1
+        ]
 
 
 @dataclass
@@ -360,17 +497,33 @@ class CostState:
 
     ``add`` places a node with its row from the mode's ``Pricing`` table:
     per unit kind it keeps an occupancy count per c-step and the peak, per
-    type the area that the peaks make, and the row of each placed node,
-    whose dynamic and per-op leak terms are summed.  Where the mode charges
-    switching it also keeps each type's ops as ``(start, node id, cycles,
-    psw)``, and caches each type's ``switch_charges`` until an ``add`` or
-    ``undo`` of that type drops them.
-    ``cost`` recomputes the dropped charges and makes one ``Pricing.cost``
-    call; its ``fsum`` sums do not depend on term order, so the cost is the
-    same whatever order the nodes came in.  ``undo`` takes back the last
-    ``add`` exactly.  A start before step 1 or an end after the latency
-    bound raises ValueError.
+    type the area that the peaks make, and the row of each placed node.
+    Where the mode charges switching it also keeps each type's ops and their
+    binding in a ``_Binder``.  ``undo`` takes back the last ``add`` exactly.
+    A start before step 1 or an end after the latency bound raises
+    ValueError.
+
+    ``cost`` makes one ``Pricing.cost`` call, whose ``fsum`` sums do not
+    depend on term order, so the cost is the same whatever order the nodes
+    came in.  Its work is in proportion to what changed since the last
+    ``cost``, not to the number of nodes placed:
+
+    * the dynamic and per-op leak terms of the rows an earlier ``cost``
+      priced are folded into exact partials (``_fold``), and only the rows
+      added since are passed as they are;
+    * each type with an op added or taken back is bound again from that
+      op's place in (start, node id) order, so pricing a candidate costs the
+      ops of its type after it; a type whose unit count changed is bound
+      again from the first op whose binding the change can alter.
+
+    The first ``cost`` folds nothing and binds each type in one pass, so
+    ``schedule_cost``'s single pricing keeps nothing it does not need.
     """
+
+    __slots__ = (
+        "price", "switching", "bound", "busy", "peaks", "area", "rows", "binders", "sums",
+        "folded", "priced", "_last",
+    )
 
     def __init__(self, price: Pricing, latency_bound: int):
         self.price = price
@@ -380,71 +533,109 @@ class CostState:
         self.peaks: dict[int, int] = {}  # peak concurrency per unit kind
         self.area: dict[str, int] = {}
         self.rows: list[Row] = []  # per placed node, the row of its level
-        self.ops_by_type: dict[str, list[tuple[int, int, int, float]]] = {}
-        self.charges: dict[str, list[float]] = {}  # per type, while its ops and units last
+        self.binders: dict[str, _Binder] = {}  # per type, where switching is charged
+        self.sums: tuple[list[float], list[float]] = ([], [])  # dynamic, per-op leak
+        self.folded = 0  # rows[:folded] are in sums
+        self.priced = 0  # rows[:priced] were priced by a cost
         self._last: tuple = ()
 
     def add(self, nid: int, op: str, start: int, row: Row) -> None:
         """Place node ``nid``, of type ``op``, at ``start`` with ``row``."""
-        cycles, kind = row[0], row[1]
-        end = start + cycles
-        if start < 1:
-            raise ValueError(f"node {nid}: start step {start} is before step 1")
-        if end - 1 > self.bound:
-            raise ValueError(
-                f"schedule completes at step {end - 1}, after the latency bound {self.bound}"
-            )
-        steps = self.busy.setdefault(kind, [])
-        if len(steps) < end:
-            steps += [0] * (end - len(steps))
-        peak = 0
-        for step in range(start, end):
-            steps[step] = count = steps[step] + 1
-            if count > peak:
-                peak = count
-        peaks = self.peaks
-        old_peak = peaks.get(kind)
-        old_area = self.area.get(op)
-        if old_peak is None or peak > old_peak:
-            peaks[kind] = peak
-            self.area[op] = (old_area or 0) + peak - (old_peak or 0)
-        self.rows.append(row)
-        entry = None
-        if self.switching:
-            entry = (start, nid, cycles, row[4])
-            self.ops_by_type.setdefault(op, []).append(entry)
-            self.charges.pop(op, None)
-        self._last = (op, kind, start, end, old_peak, old_area, entry)
+        last = (nid, op, start, row, self.peaks.get(row[1]), self.area.get(op))
+        self.extend(((nid, op, start, row),))
+        self._last = last
+
+    def extend(self, placed: Iterable[tuple[int, str, int, Row]]) -> None:
+        """``add`` each ``(node id, type, start, row)`` in turn, keeping no
+        undo record: ``undo`` takes back only an ``add`` made after this."""
+        busy, peaks, area, rows, binders = self.busy, self.peaks, self.area, self.rows, self.binders
+        bound, switching = self.bound, self.switching
+        for nid, op, start, row in placed:
+            cycles, kind = row[0], row[1]
+            end = start + cycles
+            if start < 1:
+                raise ValueError(f"node {nid}: start step {start} is before step 1")
+            if end - 1 > bound:
+                raise ValueError(
+                    f"schedule completes at step {end - 1}, after the latency bound {bound}"
+                )
+            steps = busy.get(kind)
+            if steps is None:
+                steps = busy[kind] = []
+            if len(steps) < end:
+                steps += [0] * (end - len(steps))
+            peak = 0
+            for step in range(start, end):
+                steps[step] = count = steps[step] + 1
+                if count > peak:
+                    peak = count
+            old_peak = peaks.get(kind)
+            if old_peak is None or peak > old_peak:
+                peaks[kind] = peak
+                area[op] = area.get(op, 0) + peak - (old_peak or 0)
+            rows.append(row)
+            if switching:
+                binder = binders.get(op)
+                if binder is None:
+                    binder = binders[op] = _Binder()
+                if binder.units is None:
+                    binder.ops.append((start, nid, cycles, row[4]))
+                else:
+                    binder.add((start, nid, cycles, row[4]))
 
     def undo(self) -> None:
         """Take back the last ``add``."""
-        op, kind, start, end, old_peak, old_area, entry = self._last
+        nid, op, start, row, old_peak, old_area = self._last
+        cycles, kind = row[0], row[1]
         steps = self.busy[kind]
-        for step in range(start, end):
+        for step in range(start, start + cycles):
             steps[step] -= 1
         for values, key, old in ((self.peaks, kind, old_peak), (self.area, op, old_area)):
             if old is None:
                 del values[key]
             else:
                 values[key] = old
-        self.rows.pop()
+        rows = self.rows
+        rows.pop()
+        if len(rows) < self.folded:  # a folded row: fold again from the start
+            self.sums = ([], [])
+            self.folded = 0
+        self.priced = min(self.priced, len(rows))
         if self.switching:
-            ops = self.ops_by_type[op]
-            ops.remove(entry)
-            if not ops:
-                del self.ops_by_type[op]
-            self.charges.pop(op, None)
+            binder = self.binders[op]
+            binder.remove((start, nid, cycles, row[4]))
+            if not binder.ops:
+                del self.binders[op]
 
     def cost(self) -> CostTuple:
         """The CostTuple of the nodes placed so far."""
-        charges = self.charges
-        for op, ops in self.ops_by_type.items():
-            if op not in charges:
-                charges[op] = switch_charges([ops], [self.area[op]])
-        return self.price.cost(
-            dict(self.area), map(itemgetter(2), self.rows), map(itemgetter(3), self.rows),
-            self.peaks.items(), chain.from_iterable(charges.values()), self.bound,
+        rows, folded = self.rows, self.folded
+        if self.priced > folded:
+            # These rows were priced without overflow, so their sums are finite.
+            dyn, leak = self.sums
+            for row in rows[folded:self.priced]:
+                _fold(dyn, row[2])
+                if row[3]:
+                    _fold(leak, row[3])
+            folded = self.folded = self.priced
+        if folded:
+            fresh = rows[folded:]
+            dyn, leak = self.sums
+            dynamic = chain(dyn, map(itemgetter(2), fresh))
+            op_leakage = chain(leak, map(itemgetter(3), fresh))
+        else:
+            dynamic, op_leakage = map(itemgetter(2), rows), map(itemgetter(3), rows)
+        switching = []
+        if self.binders:
+            area = self.area
+            for op, binder in self.binders.items():
+                binder.bind(area[op])
+                switching += binder.terms
+        cost = self.price.cost(
+            dict(self.area), dynamic, op_leakage, self.peaks.items(), switching, self.bound
         )
+        self.priced = len(rows)
+        return cost
 
 
 def schedule_cost(
@@ -463,11 +654,12 @@ def schedule_cost(
     price = lib.pricing(mode)
     lookup = price.lookup
     nodes = g.nodes
-    rows = [lookup(nid, nodes[nid], dur) for nid, (_start, dur) in schedule.items()]
+    placed = [
+        (nid, nodes[nid], start, lookup(nid, nodes[nid], dur))
+        for nid, (start, dur) in schedule.items()
+    ]
     state = CostState(price, latency_bound)
-    add = state.add
-    for (nid, (start, _dur)), row in zip(schedule.items(), rows):
-        add(nid, nodes[nid], start, row)
+    state.extend(placed)
     return state.cost()
 
 

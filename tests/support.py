@@ -153,6 +153,22 @@ def random_dag_text(rng: random.Random, types: list[str], n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def layered_dag_text(rng: random.Random, types: list[str], layers: int, width: int) -> str:
+    """``layers`` rows of ``width`` nodes, each node past the first row fed
+    by one or two nodes of the row above, so the critical path is ``layers``
+    long.  Ids are shuffled against the rows, so the topological order (ties
+    by id) mixes rows and the list scheduler often places an op before ops
+    of its type placed earlier."""
+    ids = list(range(1, layers * width + 1))
+    rng.shuffle(ids)
+    rows = [ids[i * width:(i + 1) * width] for i in range(layers)]
+    lines = ["name layered"] + [f"node {v} {rng.choice(types)}" for v in ids]
+    for above, row in zip(rows, rows[1:]):
+        for v in row:
+            lines += [f"edge {u} -> {v}" for u in rng.sample(above, rng.randint(1, 2))]
+    return "\n".join(lines) + "\n"
+
+
 def random_instance(
     rng: random.Random,
     state_cap: int = 20_000,

@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 
 from dvsched import (
     ArchMode,
+    Budget,
     CycleError,
     DfgParseError,
+    SearchConfig,
+    bb_pareto,
     compute_timing,
+    list_schedule,
     load_resource_library,
     parse_dfg,
     topological_order,
     validate_schedule,
 )
+from dvsched import dfg
 
 import support
 from conftest import BENCH_NAMES, load_bench
@@ -157,6 +162,25 @@ def test_topo_invariant_under_edge_permutation(seed):
     a = topological_order(parse_dfg(text))
     b = topological_order(parse_dfg("\n".join(head + edges) + "\n"))
     assert a == b
+
+
+def test_topo_is_computed_once_per_graph(default_lib, monkeypatch):
+    # parse_dfg sorts the graph once; timing, the list scheduler and the
+    # search read that order, and topological_order hands out copies of it.
+    sorts = []
+    real = dfg._kahn_order
+    monkeypatch.setattr(dfg, "_kahn_order", lambda g: sorts.append(g.name) or real(g))
+    g = parse_dfg(DIAMOND)
+    t = compute_timing(g, 1)
+    list_schedule(g, t, default_lib, ArchMode.FGDVS, Budget(power_cap=1e9))
+    bb_pareto(g, t, default_lib, SearchConfig(mode=ArchMode.FGDVS))
+    assert sorts == ["diamond"]
+    order = topological_order(g)
+    order.reverse()
+    assert topological_order(g) == [1, 2, 3, 4]
+    # the stored order is derived, so it takes no part in repr or ==
+    assert "order" not in repr(g)
+    assert g == parse_dfg(DIAMOND)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from dvsched import (
     ArchMode,
     Budget,
+    LibraryError,
     Priority,
     compute_timing,
     list_schedule,
@@ -18,6 +20,7 @@ from dvsched import (
     validate_schedule,
 )
 from dvsched import listsched, power
+from dvsched.cli import main
 
 import support
 from conftest import load_bench
@@ -202,42 +205,125 @@ def test_budgeted_pass_never_recosts_the_prefix(default_lib, monkeypatch):
             assert list_schedule(g, t, default_lib, mode, b) == asap
 
 
-def test_fgdvs_switch_charges_once_per_pricing(default_lib, diffeq, monkeypatch):
-    # Each pricing recomputes only the charges its adds and undos dropped,
-    # with one switch_charges call; one call per added node would make the
-    # 1500-node chain's schedule_cost quadratic.
-    calls = {"switch": 0, "priced": 0}
-    real_switch, real_cost = power.switch_charges, power.Pricing.cost
+def test_fgdvs_pricing_binds_from_the_candidates_place(default_lib, diffeq, monkeypatch):
+    # Each pricing binds a type again only from the first op whose binding
+    # can have changed, so a budgeted pass binds a number of ops linear in
+    # the graph size, where binding every placed op of the type per
+    # candidate would be quadratic.
+    binds = []  # (ops of the type, first op bound, binding kept) per _bind call
+    real_bind = power._bind
 
-    def switch(*args):
-        calls["switch"] += 1
-        return real_switch(*args)
+    def counting(ops, units, pool, first, seats):
+        binds.append((len(ops), first, seats is not None))
+        return real_bind(ops, units, pool, first, seats)
 
-    def priced(*args):
-        calls["priced"] += 1
-        return real_cost(*args)
-
-    monkeypatch.setattr(power, "switch_charges", switch)
-    monkeypatch.setattr(power.Pricing, "cost", priced)
-    g = parse_dfg(_chain_text(1500))
+    monkeypatch.setattr(power, "_bind", counting)
+    n = 1500
+    g = parse_dfg(_chain_text(n))
     t = compute_timing(g, 0)
     asap = {v: (t.asap[v], 1) for v in g.nodes}
     cap = schedule_cost(g, asap, default_lib, ArchMode.FGDVS, t.latency_bound).power
-    assert calls == {"switch": 1, "priced": 1}
+    assert binds == [(n, 0, False)]  # one pass, nothing kept
+    binds.clear()
     assert list_schedule(g, t, default_lib, ArchMode.FGDVS, Budget(power_cap=cap)) == asap
-    assert calls == {"switch": 1501, "priced": 1501}
+    assert len(binds) == n
+    assert sum(size - first for size, first, _kept in binds) < 2 * n
 
-    # diffeq under a cap just below its greedy cost: candidates are
-    # rejected and taken back, and each one priced is charged once
-    undos = []
-    real_undo = power.CostState.undo
-    monkeypatch.setattr(power.CostState, "undo", lambda state: undos.append(real_undo(state)))
-    t = compute_timing(diffeq, 1)
-    greedy = list_schedule(diffeq, t, default_lib, ArchMode.FGDVS, priority=Priority.MAX_DURATION)
-    cap = schedule_cost(diffeq, greedy, default_lib, ArchMode.FGDVS, t.latency_bound).power
-    calls.update(switch=0, priced=0)
-    list_schedule(
-        diffeq, t, default_lib, ArchMode.FGDVS, Budget(power_cap=cap * 0.99), Priority.MAX_DURATION
-    )
-    assert undos
-    assert calls["switch"] == calls["priced"]
+    # diffeq under caps just below its greedy cost: candidates are rejected
+    # and taken back.  A candidate of a type whose binding is kept, at an
+    # unchanged unit count, is bound from its own place in (start, id) order.
+    runs = []
+    for k in (1, 2):
+        t = compute_timing(diffeq, k)
+        for pr in Priority:
+            greedy = list_schedule(diffeq, t, default_lib, ArchMode.FGDVS, priority=pr)
+            cost = schedule_cost(diffeq, greedy, default_lib, ArchMode.FGDVS, t.latency_bound)
+            runs += [(t, pr, Budget(power_cap=cost.power * f)) for f in (0.99, 0.9, 0.8)]
+    priced = []  # [place, binding kept, binds, rejected] per pricing
+    real_cost, real_undo = power.CostState.cost, power.CostState.undo
+
+    def cost(state):
+        nid, op, start = state._last[:3]
+        binder = state.binders[op]
+        kept = binder.seats is not None and binder.units == state.area[op]
+        binds.clear()
+        out = real_cost(state)
+        priced.append([bisect_left(binder.ops, (start, nid)), kept, list(binds), False])
+        return out
+
+    def undo(state):
+        priced[-1][3] = True
+        real_undo(state)
+
+    monkeypatch.setattr(power.CostState, "cost", cost)
+    monkeypatch.setattr(power.CostState, "undo", undo)
+    for t, pr, budget in runs:
+        list_schedule(diffeq, t, default_lib, ArchMode.FGDVS, budget, pr)
+    rejected = [p for p in priced if p[3] and p[1]]
+    assert rejected
+    for place, _kept, calls, _rejected in rejected:
+        assert [(first, kept) for _size, first, kept in calls] == [(place, True)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans())
+def test_matches_prefix_recosting_greedy_on_layered_graphs(seed, k, gapped):
+    """As above on layered graphs of 60 to 120 nodes, deep enough that a
+    candidate lands before ops of its type placed earlier, a type's unit
+    count grows, and a candidate is taken back after a resumed binding."""
+    rng = random.Random(seed)
+    types = rng.sample(support.OP_POOL, rng.randint(1, 3))
+    text = support.gapped_library_text if gapped else support.random_library_text
+    lib = load_resource_library(text(rng, types))
+    width = rng.randint(3, 8)
+    g = parse_dfg(support.layered_dag_text(rng, types, rng.randint(60, 120) // width, width))
+    t = compute_timing(g, k)
+    for mode in ArchMode:
+        for pr in Priority:
+            greedy = _outcome(list_schedule, g, t, lib, mode, Budget(), pr)
+            if not isinstance(greedy, dict):
+                continue
+            cost = schedule_cost(g, greedy, lib, mode, t.latency_bound)
+            caps = [Budget(power_cap=cost.power * f) for f in (0.8, 0.99, 1 - 1e-6)]
+            caps.append(Budget(area_caps={op: n - 1 for op, n in cost.area_by_type.items()}))
+            for b in caps:
+                assert _outcome(list_schedule, g, t, lib, mode, b, pr) == _outcome(
+                    support.reference_list_schedule, g, t, lib, mode, b, pr
+                )
+
+
+# A library whose dynamic power per op is near the largest float: three ops
+# sum past it.
+HUGE_LIB = """\
+type mul
+level vdd=1.0 cycles=1 pdyn=6e307 plk=0 psw=0
+level vdd=0.8 cycles=2 pdyn=3e307 plk=0 psw=0
+"""
+
+
+@pytest.mark.parametrize("mode", list(ArchMode))
+@pytest.mark.parametrize("priority", list(Priority))
+def test_power_too_large_for_a_float_is_a_library_error(mode, priority):
+    # The running sums fold only rows a cost priced without overflow, so an
+    # overflow is always the cost's own LibraryError, never an
+    # OverflowError or fsum's ValueError on infinite partials.
+    lib = load_resource_library(HUGE_LIB)
+    g = parse_dfg(_chain_text(6).replace(" add", " mul"))
+    t = compute_timing(g, 6)
+    for budget in (Budget(power_cap=1.79e308), Budget(area_caps={"mul": 1})):
+        with pytest.raises(LibraryError, match="too large"):
+            list_schedule(g, t, lib, mode, budget, priority)
+    asap = {v: (t.asap[v], 1) for v in g.nodes}
+    with pytest.raises(LibraryError, match="too large"):
+        schedule_cost(g, asap, lib, mode, t.latency_bound)
+
+
+def test_power_too_large_for_a_float_exits_2(tmp_path, capsys):
+    (tmp_path / "huge.lib").write_text(HUGE_LIB, encoding="utf-8")
+    (tmp_path / "chain.dfg").write_text(_chain_text(6).replace(" add", " mul"), encoding="utf-8")
+    for mode in ArchMode:
+        argv = ["budget", "--dfg", str(tmp_path / "chain.dfg"), "--lib", str(tmp_path / "huge.lib"),
+                "--mode", mode.value, "--k", "6", "--algorithm", "list",
+                "--power-budget", "1.79e308"]
+        assert main(argv) == 2
+        assert "too large" in capsys.readouterr().err

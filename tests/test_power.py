@@ -23,7 +23,7 @@ from dvsched import (
     parse_dfg,
     schedule_cost,
 )
-from dvsched.power import CostState, switch_charges, type_switch_charges
+from dvsched.power import CostState, type_switch_charges
 
 import support
 from conftest import BENCH_NAMES, load_bench
@@ -334,8 +334,7 @@ def test_type_switch_charges_stream_the_binding(seed):
     rng.shuffle(ops)
     peak = max(sum(t <= step < t + d for t, _nid, d, _psw in ops) for step in range(1, 20))
     for units in sorted({peak, rng.randint(peak, n), n}):
-        full = switch_charges([list(ops)], [units])
-        assert list(type_switch_charges(list(ops), units)) == full
+        full = list(type_switch_charges(list(ops), units))
         assert all(c >= 0.0 for c in full)
         # What the generator has yielded so far is a prefix of its final
         # list, so a running sum of it never exceeds the whole charge.
@@ -375,6 +374,69 @@ def test_cost_state_contract():
     assert state.cost().area_by_type == {"mul": 2}
     state.undo()
     assert repr(state.cost()) == repr(cost) == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cost_state_prices_like_a_fresh_schedule_cost(seed):
+    # Nodes added at random starts and durations, some taken back, with
+    # costs after most steps: each cost has the repr of schedule_cost on the
+    # nodes then placed.  Random starts put ops before ops of their type
+    # placed earlier, and undos of ops that grew a type's unit count shrink
+    # it again, so every way a kept binding is resumed gets priced.
+    rng = random.Random(seed)
+    types = rng.sample(support.OP_POOL, rng.randint(1, 2))
+    text = support.gapped_library_text if seed % 2 else support.random_library_text
+    lib = load_resource_library(text(rng, types))
+    n, bound = rng.randint(2, 16), rng.randint(3, 9)
+    g = parse_dfg(support.random_dag_text(rng, types, n))
+    for mode in (ArchMode.MULTI_VDD, ArchMode.FGDVS):
+        price = lib.pricing(mode)
+        state = CostState(price, bound)
+        placed: dict[int, tuple[int, int]] = {}
+        for _ in range(3 * n):
+            free = [v for v in g.nodes if v not in placed]
+            if not free:
+                break
+            v = rng.choice(free)
+            rows = price.rows(g.nodes[v])
+            dur = rng.choice([d for d in rows if d <= bound] or [min(rows)])
+            if dur > bound:
+                break
+            start = rng.randint(1, bound - dur + 1)
+            state.add(v, g.nodes[v], start, rows[dur])
+            placed[v] = (start, dur)
+            # A second cost folds this node's row, so that the undo below
+            # takes back a folded row.
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                assert repr(state.cost()) == repr(schedule_cost(g, placed, lib, mode, bound))
+            if rng.random() < 0.4:
+                state.undo()
+                del placed[v]
+                if rng.random() < 0.5:
+                    assert repr(state.cost()) == repr(schedule_cost(g, placed, lib, mode, bound))
+        assert repr(state.cost()) == repr(schedule_cost(g, placed, lib, mode, bound))
+
+
+@pytest.mark.parametrize("mode", list(ArchMode))
+def test_cost_state_overflow_stays_a_library_error(mode):
+    # A cost that overflows raises LibraryError and leaves nothing behind:
+    # after the undo the state prices its nodes as before, and adding the
+    # node again raises LibraryError again, never OverflowError or fsum's
+    # ValueError on infinite partials.
+    lib = load_resource_library("type mul\nlevel vdd=1.0 cycles=1 pdyn=6e307 plk=0 psw=1e308\n")
+    price = lib.pricing(mode)
+    row = price.lookup(1, "mul", 1)
+    state = CostState(price, 8)
+    for v in range(1, 3):
+        state.add(v, "mul", v, row)
+        finite = state.cost()
+    for _ in range(2):
+        state.add(3, "mul", 3, row)
+        with pytest.raises(LibraryError, match="too large"):
+            state.cost()
+        state.undo()
+        assert repr(state.cost()) == repr(finite)
 
 
 @settings(max_examples=60, deadline=None)
