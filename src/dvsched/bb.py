@@ -12,11 +12,24 @@ come.  The positions are split into disjoint paths; the ops of one path
 run one after another, so together they must fit its span.  A DP over
 each path's start steps, from its end, gives the least energy of every
 suffix of it, tabled per position once before the walk.  The one term
-that depends on the move is a single list index per expansion: the
-placed op's end holds back the rest of its own path.  The walk is one
-loop over an explicit stack with an entry per placed position, so a
-graph's depth is bounded by memory, not by the interpreter's recursion
-limit; a time-out or, for ``bb_first``, the first solution ends the loop.
+that depends on the move, what the placed op's end holds back of the
+rest of its own path, is read once, when the move's table is built.  The
+walk is one loop over an explicit stack with an entry per placed
+position, so a graph's depth is bounded by memory, not by the
+interpreter's recursion limit; a time-out or, for ``bb_first``, the first
+solution ends the loop.
+
+Each expansion probes its move before placing it.  A move carries its
+steps and its path-bound term from its table, and the kind's new peak is
+read off the usage histogram over those steps, so the area-cap, power-cap
+and dominance prunes, and the closing bind below, decide without writing
+anything.  Only a move that survives them writes the histogram, and only
+it is undone.  The dominance test is one index into a staircase: the
+least power of any front member of at most each area
+(``power.staircase``), rebuilt whenever a member joins the front.  Some
+member is no worse than the bound exactly when the staircase at the
+bound's area is within the power tolerance of the bound's power, so the
+prune decides what ``ParetoSet.covers`` would.
 
 Under single-vdd and multi-vdd a prefix is also cut when an earlier
 prefix of the same length reached the same state at no higher power (a
@@ -24,7 +37,9 @@ Kohler-Steiglitz dominance relation): the same area, the same end times
 for the placed nodes that still constrain unplaced ones, and the same unit
 counts and usage histograms wherever unplaced nodes can still add to
 them.  Equal states have the same completions at the same added cost, so
-the cut changes no result.  States are packed into bytes and held in two
+the cut changes no result.  The walk keeps the histograms as bytes (or
+as wider unsigned items when a count may reach 256), so a state's key is
+its packed header joined with raw slices of them; states are held in two
 generations of STATE_GENERATION entries each.  A position whose lookups do
 not pay for themselves stops being looked up (see GATE_WARMUP); a skipped
 lookup cuts nothing, so this too changes no result.  FGDVS is left out: its
@@ -53,6 +68,7 @@ for a leaf the front does not already cover.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
 from math import inf
@@ -69,6 +85,7 @@ from .power import (
     ParetoSet,
     ResourceLibrary,
     schedule_cost,
+    staircase,
     type_switch_charges,
 )
 
@@ -225,8 +242,8 @@ def _run(
     # leak.
     usable = {op: price.rows(op) for op in type_names}
     rows_at = [usable[g.nodes[v]] for v in order]
-    kind_type = [type_idx.get(op) for op, _rate in price.kinds]  # None: not in the graph
     unit_leak = [rate * bound for _op, rate in price.kinds]
+    n_kinds = len(unit_leak)
     forced_leak = [min(unit_leak[row[1]] for row in usable[op].values()) for op in type_names]
 
     # Per node: (duration, kind, dyn+leak prefix energy) fastest-first, for
@@ -259,15 +276,16 @@ def _run(
     # The positions of each type, whose ops the FGDVS binder takes per type.
     # Once a type's last position is placed, its ops and its unit count are
     # final (its one unit kind peaks only when its own ops are placed), and
-    # so are its switch charges: closes[i] says that i is such a position
-    # where switching is charged.
+    # so are its switch charges.  Where switching is charged, closer[i] is
+    # set at each such position i: it fetches the type's ops from binder.
     type_positions = [
         [i for i, v in enumerate(order) if g.nodes[v] == op] for op in type_names
     ]
-    closes = [False] * n
+    pos_type = [type_idx[g.nodes[v]] for v in order]
+    closer: list[Callable[[list], tuple] | None] = [None] * n
     if price.switching:
         for at in type_positions:
-            closes[at[-1]] = True
+            closer[at[-1]] = itemgetter(*at) if len(at) > 1 else lambda b, j=at[0]: (b[j],)
 
     # Every type whose first node sits at position i or later has no unit
     # yet (each placed node holds a unit for at least one step) and will
@@ -292,8 +310,14 @@ def _run(
     #     unit counts the walk still grows and the caps still check;
     #   windows[p]: (kind, lo, hi) for each kind some unplaced node can use,
     #     where hist[kind][lo:hi] spans every step such a node can occupy.
-    # A key's length is fixed by p; packing[p] packs it into bytes with the
-    # narrowest code that holds max(n, bound + 1), the largest value in it.
+    # Values are packed with the narrowest code that holds max(n, bound + 1),
+    # the largest value in a state: a key is packing[p]'s bytes of the
+    # position, the area, the frontier's ends and the live unit counts, then
+    # the raw bytes of each window's histogram slice.  Each kind's histogram
+    # is a bytearray, or for a wider code a memoryview of one cast to that
+    # code.  Every piece's length is fixed by p, so equal keys mean equal
+    # states.  Without the state cut the histograms are plain lists, which
+    # the walk updates faster.
     state_cut = cfg.prune_dominance and not price.switching
     frontier: list[tuple[tuple[int, int], ...]] = []
     live_kinds: list[tuple[int, ...]] = [()] * (n + 1)
@@ -312,8 +336,8 @@ def _run(
                 open_nodes.append(p - 1)
             open_nodes = [u for u in open_nodes if last_child[u] >= p]
             frontier.append(tuple((u, child_asap[u]) for u in open_nodes))
-        win_lo = [bound + 1] * len(kind_type)
-        win_hi = [0] * len(kind_type)
+        win_lo = [bound + 1] * n_kinds
+        win_hi = [0] * n_kinds
         live: set[int] = set()
         for p in range(n - 1, -1, -1):
             live.update(row[1] for row in rows_at[p].values())
@@ -325,13 +349,14 @@ def _run(
                 (k, win_lo[k], win_hi[k]) for k in live_kinds[p] if win_lo[k] < win_hi[k]
             )
         code = next(c for c in "BHILQ" if max(n, bound + 1) < 1 << 8 * calcsize(c))
-        for p in range(n + 1):
-            size = 2 + len(frontier[p]) + len(live_kinds[p])
-            size += sum(b - a for _k, a, b in windows[p])
-            packing.append(Struct(f"{size}{code}"))
-    hist = [[0] * (bound + 2) for _ in kind_type]
+        packing = [Struct(f"{2 + len(frontier[p]) + len(live_kinds[p])}{code}") for p in range(n + 1)]
+        zeros = bytes(calcsize(code) * (bound + 2))
+        hist = [bytearray(zeros) if code == "B" else memoryview(bytearray(zeros)).cast(code)
+                for _ in range(n_kinds)]
+    else:
+        hist = [[0] * (bound + 2) for _ in range(n_kinds)]
     generation = STATE_GENERATION
-    cur_max = [0] * len(kind_type)
+    cur_max = [0] * n_kinds
     type_area = [0] * len(type_names)
     starts = [0] * n
     durs = [0] * n
@@ -339,17 +364,20 @@ def _run(
     type_charges: list[list[float]] = [[] for _ in type_names]  # per closed type
 
     front = ParetoSet()
-    archive_pts = front.points  # (area, power) per member, kept in place by insert
+    # stair[a] is the least power of a member of area at most a
+    # (power.staircase), rebuilt in place on each insert; no bound's area
+    # exceeds n.  The walk reads dom_line, which is all inf until the
+    # dominance prune starts at the first solution: until then no leaf has
+    # reached the archive, so the walk is the tree bb_first walks and the
+    # first solution is bb_first's, seeds or not.
+    stair = [inf] * (n + 1)
+    dom_line = [inf] * (n + 1)
     expanded = budget_prunes = dominance_prunes = leaves = switch_binds = 0
     states: dict[bytes, float] = {}  # state key -> least cur_power seen with it
     older: dict[bytes, float] = {}  # the previous generation of states
     cur_area, cur_power = 0, 0.0  # the placed prefix's area and dyn+leak power
     cur_sw = 0.0  # the switch charges of the types closed by the prefix
     first: FirstSolution | None = None
-    # The dominance prune starts at the first solution.  Until then no leaf
-    # has reached the archive, so the walk is the tree bb_first walks and
-    # the first solution is bb_first's, seeds or not.
-    prune_dom = False
     deadline = None
     t0 = time.perf_counter()
     if cfg.time_limit is not None:
@@ -379,6 +407,7 @@ def _run(
                 return True
         if not front.covers(cost):
             front.insert(cost, schedule())
+            stair[:] = staircase(front.points, n + 1)
         return False
 
     def schedule() -> Schedule:
@@ -395,9 +424,10 @@ def _run(
             end = starts[u] + durs[u]
             vals.append(end if end > floor else floor)
         vals.extend(map(cur_max.__getitem__, live_kinds[p]))
+        parts = [packing[p].pack(*vals)]
         for k, lo, hi in windows[p]:
-            vals += hist[k][lo:hi]
-        key = packing[p].pack(*vals)
+            parts.append(hist[k][lo:hi])
+        key = b"".join(parts)
         seen = states.get(key)
         if seen is None:
             seen = older.get(key, _NEVER)
@@ -417,31 +447,28 @@ def _run(
     tallies = [[0, 0, 0, GATE_WARMUP] for _ in range(n + 1)] if state_cut else []
     gate: list[list[int] | None] = list(tallies) if state_cut else [None] * (n + 1)
 
-    # A move is (start, duration, kind, energy, binder entry).  Per type and
-    # start, its moves fastest first, one set of tuples for all the type's
-    # positions; their last field is the level's psw until moves() makes it
-    # the op's (start, node id, cycles, psw) where switching is charged.
-    step_moves = {
-        op: [tuple((t, cycles, kind, dyn + leak, psw) for cycles, kind, dyn, leak, psw in rows.values())
-             for t in range(bound + 1)]
-        for op, rows in usable.items()
-    }
-    moves_at = [step_moves[g.nodes[v]] for v in order]
     # Per position and earliest start, the moves in walk order: starts
     # ascending, then fastest first, each ending by last_end.  Built the
     # first time they are reached.  A parent ends no later than
-    # its child's alap, so every earliest start has a slot.
+    # its child's alap, so every earliest start has a slot.  A move is
+    # (start, duration, kind, energy, binder entry, steps, rest): the entry
+    # is the op's (start, node id, cycles, psw) where switching is charged,
+    # steps the range of steps the op occupies, and rest what positions
+    # i+1.. must still pay in energy once the move ends (bound_at).
     tables: list[list[tuple[tuple, ...] | None]] = [
         [None] * (alap_a[i] - asap_a[i] + 1) for i in range(n)
     ]
 
     def moves(i: int, earliest: int) -> tuple[tuple, ...]:
-        last = last_end[i]
-        at = moves_at[i]
-        table = tuple(move for t in range(earliest, last) for move in at[t] if move[1] <= last - t)
-        if price.switching:
-            nid = order[i]
-            table = tuple((t, d, k, e, (t, nid, d, psw)) for t, d, k, e, psw in table)
+        last, levels = last_end[i], rows_at[i].values()
+        rest, base, nid = bound_at[i], asap_a[i], order[i]
+        table = tuple(
+            (t, d, kind, dyn + leak, (t, nid, d, psw) if price.switching else None,
+             range(t, t + d), rest[t + d - base])
+            for t in range(earliest, last)
+            for d, kind, dyn, leak, psw in levels
+            if d <= last - t
+        )
         tables[i][earliest - asap_a[i]] = table
         return table
 
@@ -458,6 +485,7 @@ def _run(
                 cost = schedule_cost(g, seed, lib, cfg.mode, bound)
                 if cfg.budget.allows(cost.area_by_type, cost.power):
                     front.insert(cost, seed)
+        stair[:] = staircase(front.points, n + 1)
 
     # The walk: one loop over an explicit stack of positions 0..i.  Per
     # position on the stack, todo[p] iterates over the moves still to try,
@@ -479,68 +507,56 @@ def _run(
         if deadline is not None and time.perf_counter() > deadline:
             completed = False
             break
-        # What positions i+1.. must still pay in energy, by the end of i's move.
-        bound_row, base = bound_at[i], asap_a[i]
-        for t, dur, kind, energy, entry in todo[i]:
-            # Place.
+        # What every move of position i shares.
+        p = i + 1
+        leaks = unstarted[p]
+        n_leaks = len(leaks)
+        ti = pos_type[i]
+        cap = caps[ti] if caps is not None else n  # no type's area exceeds n
+        closes = closer[i]
+        for t, dur, kind, energy, entry, steps, rest in todo[i]:
+            expanded += 1
+            # Probe: the kind's peak usage with the move placed, read off
+            # its histogram without writing it.
             row = hist[kind]
             old_max = cur_max[kind]
             peak = old_max
-            for step in range(t, t + dur):
-                row[step] += 1
-                if row[step] > peak:
-                    peak = row[step]
-            old_area = cur_area
-            old_power = cur_power
-            ti = kind_type[kind]
-            old_type_area = type_area[ti]
-            if peak > old_max:
-                grew = peak - old_max
-                cur_max[kind] = peak
-                type_area[ti] += grew
-                cur_area = old_area + grew
-                cur_power = old_power + energy + unit_leak[kind] * grew
+            for step in steps:
+                if row[step] >= peak:
+                    peak = row[step] + 1
+            grew = peak - old_max
+            if grew:
+                area = cur_area + grew
+                power = cur_power + energy + unit_leak[kind] * grew
             else:
-                cur_power = old_power + energy
-            starts[i] = t
-            durs[i] = dur
-            binder[i] = entry
-            expanded += 1
+                area = cur_area
+                power = cur_power + energy
             # Prune or descend: bound what any completion must cost.
-            p = i + 1
-            leaks = unstarted[p]
-            lb_area = cur_area + len(leaks)
-            lb_power = cur_power + bound_row[t + dur - base]
+            lb_area = area + n_leaks
+            lb_power = power + rest
             for leak in leaks:
                 lb_power += leak
             lb_power += cur_sw
-            pruned = False
-            if caps is not None and type_area[ti] > caps[ti]:
+            if grew and type_area[ti] + grew > cap:
                 budget_prunes += 1
-                pruned = True
-            elif lb_power > cap_line:
+                continue
+            if lb_power > cap_line:
                 budget_prunes += 1
-                pruned = True
-            elif prune_dom:
-                # front.covers on the bound, inlined: this runs on every expansion.
-                for am, pm in archive_pts:
-                    if am <= lb_area and pm <= lb_power + POWER_EPS:
-                        dominance_prunes += 1
-                        pruned = True
-                        break
-            if not pruned and closes[i]:
+                continue
+            # front.covers on the bound, by one staircase index.
+            line = dom_line[lb_area]
+            if line <= lb_power + POWER_EPS:
+                dominance_prunes += 1
+                continue
+            if closes is not None:
                 # i closes its type: bind it, adding each charge to the bound
                 # as it comes, and stop as soon as the bound prunes.  Charges
                 # only add, so a prefix of them that prunes, the whole does.
                 switch_binds += 1
-                line = inf  # the least power of a member the bound's area covers
-                if prune_dom:
-                    for am, pm in archive_pts:
-                        if am <= lb_area and pm < line:
-                            line = pm
+                binder[i] = entry
                 charges = []
-                ops = list(map(binder.__getitem__, type_positions[ti]))
-                for charge in type_switch_charges(ops, type_area[ti]):
+                pruned = False
+                for charge in type_switch_charges(list(closes(binder)), type_area[ti] + grew):
                     charges.append(charge)
                     lb_power += charge
                     if lb_power > cap_line:
@@ -551,47 +567,62 @@ def _run(
                         dominance_prunes += 1
                         pruned = True
                         break
+                if pruned:
+                    continue
+                type_charges[ti] = charges
+            # Place: only a move that survives to the state lookup or the
+            # descent writes the histogram.
+            for step in steps:
+                row[step] += 1
+            old_area, old_power = cur_area, cur_power
+            old_type_area = type_area[ti]
+            if grew:
+                cur_max[kind] = peak
+                type_area[ti] = old_type_area + grew
+            cur_area, cur_power = area, power
+            starts[i] = t
+            durs[i] = dur
+            binder[i] = entry
+            pruned = False
+            tally = gate[p]
+            if tally is not None:
+                # The state cut, unless the gate turns p off here.
+                looked, hit, below, test_at = tally
+                if looked == test_at and hit * below < LOOKUP_COST * looked * (looked - hit):
+                    # p is not on the stack, so every miss at p has been walked.
+                    gate[p] = None
                 else:
-                    type_charges[ti] = charges
-            if not pruned:
-                tally = gate[p]
-                if tally is not None:
-                    # The state cut, unless the gate turns p off here.
-                    looked, hit, below, test_at = tally
-                    if looked == test_at and hit * below < LOOKUP_COST * looked * (looked - hit):
-                        # p is not on the stack, so every miss at p has been walked.
-                        gate[p] = None
+                    if looked == test_at:
+                        tally[3] = 2 * test_at
+                    tally[0] = looked + 1
+                    if seen_state(p, area, power):
+                        tally[1] = hit + 1  # a state prune
+                        pruned = True
                     else:
-                        if looked == test_at:
-                            tally[3] = 2 * test_at
-                        tally[0] = looked + 1
-                        if seen_state(p, cur_area, cur_power):
-                            tally[1] = hit + 1  # a state prune
-                            pruned = True
-                        else:
-                            entered[p] = expanded
-                if not pruned:
-                    if p < n:
-                        undo[i] = (kind, old_max, old_type_area, old_area, old_power, cur_sw)
-                        if closes[i]:
-                            cur_sw += sum(charges)
-                        earliest = asap_a[p]
-                        for u in parents[p]:
-                            end = starts[u] + durs[u]
-                            if end > earliest:
-                                earliest = end
-                        table = tables[p][earliest - asap_a[p]]
-                        if table is None:
-                            table = moves(p, earliest)
-                        todo[p] = iter(table)
-                        i = p
-                        break
-                    if handle_leaf():
-                        stopped = True
-                        break
-                    prune_dom = first is not None and cfg.prune_dominance
+                        entered[p] = expanded
+            if not pruned:
+                if p < n:
+                    undo[i] = (kind, steps, old_max, old_type_area, old_area, old_power, cur_sw)
+                    if closes is not None:
+                        cur_sw += sum(charges)
+                    earliest = asap_a[p]
+                    for u in parents[p]:
+                        end = starts[u] + durs[u]
+                        if end > earliest:
+                            earliest = end
+                    table = tables[p][earliest - asap_a[p]]
+                    if table is None:
+                        table = moves(p, earliest)
+                    todo[p] = iter(table)
+                    i = p
+                    break
+                if handle_leaf():
+                    stopped = True
+                    break
+                if first is not None and cfg.prune_dominance:
+                    dom_line = stair
             # Undo.
-            for step in range(t, t + dur):
+            for step in steps:
                 row[step] -= 1
             cur_max[kind] = old_max
             type_area[ti] = old_type_area
@@ -605,13 +636,12 @@ def _run(
             if tally is not None:
                 tally[2] += expanded - entered[i]
             i -= 1
-            kind, old_max, old_type_area, cur_area, cur_power, cur_sw = undo[i]
+            kind, steps, old_max, old_type_area, cur_area, cur_power, cur_sw = undo[i]
             row = hist[kind]
-            t = starts[i]
-            for step in range(t, t + durs[i]):
+            for step in steps:
                 row[step] -= 1
             cur_max[kind] = old_max
-            type_area[kind_type[kind]] = old_type_area
+            type_area[pos_type[i]] = old_type_area
     elapsed = time.perf_counter() - t0
     return SearchReport(
         front=front,

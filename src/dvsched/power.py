@@ -671,6 +671,27 @@ def _no_worse(a: tuple, b: tuple) -> bool:
     return all(x <= y + POWER_EPS for x, y in zip(a, b))
 
 
+def staircase(points: Iterable[tuple[int, float]], size: int) -> list[float]:
+    """The least power of any ``(area, power)`` point whose area is at most
+    ``a``, for each area ``a`` in ``range(size)``; ``math.inf`` where none is.
+
+    Some point is ``_no_worse`` than ``(a, x)`` exactly when
+    ``stair[a] <= x + POWER_EPS``: with integer areas, ``_no_worse`` asks
+    for a point of area at most ``a`` whose power is at most
+    ``x + POWER_EPS``, and one exists exactly when the least such power
+    is.  So one index into the staircase decides what ``ParetoSet.covers``
+    decides on a two-objective front.
+    """
+    stair = [math.inf] * size
+    for area, power in points:
+        if area < size and power < stair[area]:
+            stair[area] = power
+    for a in range(1, size):
+        if stair[a - 1] < stair[a]:
+            stair[a] = stair[a - 1]
+    return stair
+
+
 class ParetoEntry(NamedTuple):
     cost: CostTuple
     schedule: Schedule
@@ -683,7 +704,7 @@ class ParetoSet:
     ``(area_total, power)`` by default, ``(latency, area_total, power)`` for
     a front merged across latency bounds.  At most one member per distinct
     point; the first schedule found for a point is kept.  ``points`` holds
-    each entry's objective values in entry order, one list kept in place.
+    each entry's objective values in entry order.
     """
 
     def __init__(self, objectives: tuple[str, ...] = ("area_total", "power")):
@@ -704,7 +725,7 @@ class ParetoSet:
         point = self._point(cost)
         kept = [i for i, p in enumerate(self.points) if not _no_worse(point, p)]
         self.entries = [self.entries[i] for i in kept]
-        self.points[:] = [self.points[i] for i in kept]
+        self.points = [self.points[i] for i in kept]
         self.entries.append(ParetoEntry(cost, dict(schedule)))
         self.points.append(point)
         return True

@@ -533,6 +533,32 @@ def test_state_cut_runs_only_where_it_is_exact(default_lib):
         assert bb_pareto(diamonds, compute_timing(diamonds, 2), default_lib, cfg).state_prunes == 0
 
 
+def test_state_cut_with_wide_keys(default_lib):
+    # 100 diamonds in series: 400 nodes and a latency bound of 301, so the
+    # state cut's values take two bytes each and its histograms are cast
+    # to "H", not bytearrays.  The cut stays exact, and its counters are
+    # pinned.
+    m = 100
+    text = "name diamond-chain\n" + "".join(
+        f"node {4 * j + 1} mul\nnode {4 * j + 2} add\nnode {4 * j + 3} add\nnode {4 * j + 4} mul\n"
+        for j in range(m)
+    )
+    text += "".join(
+        f"edge {4 * j + 1} -> {4 * j + 2}\nedge {4 * j + 1} -> {4 * j + 3}\n"
+        f"edge {4 * j + 2} -> {4 * j + 4}\nedge {4 * j + 3} -> {4 * j + 4}\n"
+        for j in range(m)
+    )
+    text += "".join(f"edge {4 * j + 4} -> {4 * j + 5}\n" for j in range(m - 1))
+    g = parse_dfg(text)
+    t = compute_timing(g, 1)
+    assert max(len(g.order), t.latency_bound + 1) >= 256
+    cut = bb_pareto(g, t, default_lib, SearchConfig(mode=ArchMode.MULTI_VDD))
+    plain = bb_pareto(g, t, default_lib, SearchConfig(mode=ArchMode.MULTI_VDD, prune_dominance=False))
+    assert cut.completed and plain.completed
+    assert cut.front.sorted_entries() == plain.front.sorted_entries()
+    assert counts(cut) + (cut.state_lookups, cut.leaves) == (3_607, 0, 187, 973, 3_420, 1)
+
+
 # ---------------------------------------------------------------------------
 # pruning
 

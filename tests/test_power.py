@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from itertools import islice
 
@@ -23,7 +24,7 @@ from dvsched import (
     parse_dfg,
     schedule_cost,
 )
-from dvsched.power import CostState, type_switch_charges
+from dvsched.power import CostState, staircase, type_switch_charges
 
 import support
 from conftest import BENCH_NAMES, load_bench
@@ -613,16 +614,40 @@ def test_pareto_insert_sweeps_dominated():
     assert s.cost_points() == [(3, 90.0), (5, 80.0)]
 
 
-def test_pareto_points_is_one_list_kept_in_place():
+def test_pareto_points_follow_entries():
     s = ParetoSet()
-    points = s.points
     s.insert(ct(4, 100.0), {1: (1, 1)})
     s.insert(ct(5, 80.0), {1: (1, 2)})
     s.insert(ct(6, 70.0), {1: (1, 3)})
     assert s.insert(ct(3, 75.0), {1: (1, 4)})  # evicts (4, 100) and (5, 80)
-    assert s.points is points
-    assert points == [(6, 70.0), (3, 75.0)]
-    assert points == [(e.cost.area_total, e.cost.power) for e in s.entries]
+    assert s.points == [(6, 70.0), (3, 75.0)]
+    assert s.points == [(e.cost.area_total, e.cost.power) for e in s.entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 8), st.floats(0.0, 50.0)), max_size=10),
+    st.integers(1, 11),
+    st.integers(0, 2**32 - 1),
+)
+def test_staircase_decides_like_covers(points, size, seed):
+    # One index into the staircase is the dominance test: on every area
+    # below the smallest member, between members and past the largest (or
+    # past the staircase's own size, where members are left out), and on
+    # powers at each member's power less the tolerance and one ulp either
+    # side of it.
+    front = ParetoSet()
+    for a, x in points:
+        front.insert(ct(a, x), {})
+    stair = staircase(front.points, size)
+    rng = random.Random(seed)
+    powers = [0.0, 60.0] + [rng.uniform(0.0, 50.0) for _ in range(4)]
+    for _a, pm in front.points:
+        edge = pm - POWER_EPS
+        powers += [pm, edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    for a in range(size):
+        for x in powers:
+            assert (stair[a] <= x + POWER_EPS) == front.covers(ct(a, x))
 
 
 def test_pareto_insert_rejects_duplicate_cost():

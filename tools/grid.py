@@ -17,8 +17,12 @@ first run (they repeat exactly).
 
 ``--against FILE`` compares the run with a grid JSON saved earlier: on
 stderr it names every cell that completed in both runs with a different
-``front`` or ``kept``, and gives the expansions and summed seconds of each
-run over those cells.  The exit status is 1 when any cell differs.
+``front`` or ``kept``, then every cell completed in both whose search
+counters (``COUNTERS``) differ, with both values, and gives the
+expansions and summed seconds of each run over the cells completed in
+both.  The exit status is 1 when a front
+or a kept schedule differs; counters alone do not change it, since a
+change may mean to move them.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GRAPHS = ("diffeq", "iir", "fir", "volterra", "lattice", "ewf", "dct")
+COUNTERS = ("expanded", "budget_prunes", "dominance_prunes", "state_prunes", "state_lookups",
+            "leaves", "switch_binds")
 
 CHILD = """
 import hashlib, json, resource, sys
@@ -94,17 +100,25 @@ def main() -> int:
 
 
 def compare(old: dict, new: dict) -> int:
-    """Report the cells both grids completed whose answers differ; 1 if any."""
+    """Report the cells both grids completed whose answers or counters
+    differ; 1 if any answer does."""
     both = [c for c in new if c in old and old[c]["completed"] and new[c]["completed"]]
     differ = [c for c in both if any(old[c][key] != new[c][key] for key in ("front", "kept"))]
     for cell in differ:
         print(f"differs: {cell}", file=sys.stderr)
+    counted = 0
+    for cell in both:
+        moved = [f"{key} {old[cell].get(key)} -> {new[cell].get(key)}" for key in COUNTERS
+                 if old[cell].get(key) != new[cell].get(key)]
+        if moved:
+            counted += 1
+            print(f"counters differ: {cell}: {', '.join(moved)}", file=sys.stderr)
     for name, grid in (("against", old), ("this run", new)):
         expanded = sum(grid[c]["expanded"] for c in both)
         seconds = sum(grid[c]["seconds"] for c in both)
         print(f"{name}: {expanded} expansions, {seconds:.2f} s over {len(both)} cells "
               "completed in both", file=sys.stderr)
-    print(f"{len(differ)} of {len(both)} cells differ", file=sys.stderr)
+    print(f"{len(differ)} of {len(both)} cells differ, {counted} in counters", file=sys.stderr)
     return 1 if differ else 0
 
 
