@@ -109,6 +109,11 @@ FirstSolution = tuple[CostTuple, Schedule, float]
 # generation fills up it replaces the older one, so at most twice this many
 # states are held; which states are kept changes the work, never a result.
 STATE_GENERATION = 2048
+# The most window steps (alap - asap + 1, summed over the nodes) that a
+# search will table.  The bound and move tables take up to about 130 bytes
+# a step, so this keeps them near 100 MB; a slack that gives more steps is
+# refused before anything is built.
+MAX_WINDOW_STEPS = 800_000
 # The state cut's per-position gate.  At each power-of-two count of
 # lookups at a position, from GATE_WARMUP on, the position keeps being
 # looked up only while its lookups save at least LOOKUP_COST expansions
@@ -136,6 +141,17 @@ class SearchReport:
     switch_binds: int  # FGDVS types bound for their switch charges
     completed: bool
     elapsed: float
+
+
+def check_window_steps(timing: TimingInfo) -> None:
+    """Raise ValueError when a search at ``timing`` would table more than
+    MAX_WINDOW_STEPS window steps."""
+    steps = sum(timing.mobility.values()) + len(timing.mobility)
+    if steps > MAX_WINDOW_STEPS:
+        raise ValueError(
+            f"slack {timing.slack} gives the search {steps} window steps to table, "
+            f"more than its limit of {MAX_WINDOW_STEPS}"
+        )
 
 
 def _path_bound(
@@ -222,6 +238,7 @@ def _run(
     cfg: SearchConfig,
     stop_after_first: bool,
 ) -> SearchReport:
+    check_window_steps(timing)
     order = g.order
     n = len(order)
     bound = timing.latency_bound

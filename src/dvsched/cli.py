@@ -22,13 +22,14 @@ CSV bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bb import SearchConfig, SearchReport, bb_first, bb_pareto
+from .bb import SearchConfig, SearchReport, bb_first, bb_pareto, check_window_steps
 from .dfg import (
     Dfg,
     Schedule,
@@ -224,7 +225,8 @@ def _emit(
     if args.out:
         _write_csv(args.out, table)
     if args.json:
-        Path(args.json).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        # One line of compact JSON: json.dumps without indent runs the C encoder.
+        Path(args.json).write_text(json.dumps(data) + "\n", encoding="utf-8")
     return EXIT_OK if completed else EXIT_TIME_LIMIT
 
 
@@ -295,7 +297,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.k_max < 0:
         raise ValueError(f"--k-max must be >= 0, got {args.k_max}")
-    g, lib, timings = _load(args, range(args.k_max + 1))
+    # The largest slack tables the most; refuse it before timing the rest.
+    g, lib, (last,) = _load(args, [args.k_max])
+    check_window_steps(last)
+    timings = [compute_timing(g, k) for k in range(args.k_max)] + [last]
     mode = ArchMode(args.mode)
     budget = _make_budget(args, lib)
     runs = [(t, bb_pareto(g, t, lib, SearchConfig(mode, budget, args.time_limit))) for t in timings]
@@ -629,9 +634,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call rather than at import, and kept: parsing
+# leaves no state in the parser, and building one costs about twenty times
+# what parsing a command line with it does.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except StateSpaceTooLarge as exc:

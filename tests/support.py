@@ -24,6 +24,7 @@ from dvsched import (
     state_space_estimate,
     topological_order,
 )
+from dvsched.power import _no_worse
 
 OP_POOL = ("mul", "add", "comp", "sub", "shift")
 
@@ -104,6 +105,16 @@ level vdd=1.00 cycles=1 pdyn=4.00 plk=0.15 psw=0.35
 level vdd=0.78 cycles=2 pdyn=1.22 plk=0.10 psw=0.35
 level vdd=0.68 cycles=3 pdyn=0.62 plk=0.08 psw=0.35
 """
+
+
+def points_equal(got: list[tuple[int, float]], want: list[tuple[int, float]]) -> bool:
+    """Two fronts' (area, power) points, pairwise equal under the program's
+    tie rule: each point no worse than the other, as ``power._no_worse``
+    decides with its POWER_EPS tolerance."""
+    return len(got) == len(want) and all(
+        _no_worse(p, q) and _no_worse(q, p) for p, q in zip(got, want)
+    )
+
 
 def _library_text(
     rng: random.Random, types: list[str], first_and_step: Callable[[], tuple[int, int]]

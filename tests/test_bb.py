@@ -41,12 +41,6 @@ SMOKE = parse_dfg(support.SMOKE_DFG)
 MODES = (ArchMode.SINGLE_VDD, ArchMode.MULTI_VDD, ArchMode.FGDVS)
 
 
-def points_equal(got: list[tuple[int, float]], want: list[tuple[int, float]]) -> bool:
-    return len(got) == len(want) and all(
-        a == b and abs(p - q) <= POWER_EPS for (a, p), (b, q) in zip(got, want)
-    )
-
-
 def counts(rep) -> tuple[int, int, int, int]:
     """(expanded, budget prunes, dominance prunes, state prunes)"""
     return (rep.nodes_expanded, rep.budget_prunes, rep.dominance_prunes, rep.state_prunes)
@@ -120,7 +114,7 @@ def test_front_matches_oracle(seed, k):
             cfg = SearchConfig(mode=mode, budget=b, debug_check=True)
             rep = bb_pareto(g, t, lib, cfg)
             assert rep.completed
-            assert points_equal(rep.front.cost_points(), want)
+            assert support.points_equal(rep.front.cost_points(), want)
 
 
 def _level_cut_by_window(g, t, lib) -> bool:
@@ -169,7 +163,7 @@ def test_front_matches_oracle_on_gapped_libraries():
                     cfg = SearchConfig(mode=mode, budget=b, debug_check=True)
                     rep = bb_pareto(g, t, lib, cfg)
                     assert rep.completed
-                    assert points_equal(rep.front.cost_points(), want)
+                    assert support.points_equal(rep.front.cost_points(), want)
                     hit = bb_first(g, t, lib, cfg).first_solution
                     if hit is None:
                         assert rep.first_solution is None and not want
@@ -573,7 +567,7 @@ def test_disabling_dominance_prune_changes_nothing_but_work(seed, k):
     for mode in (ArchMode.MULTI_VDD, ArchMode.FGDVS):
         on = bb_pareto(g, t, lib, SearchConfig(mode=mode))
         off = bb_pareto(g, t, lib, SearchConfig(mode=mode, prune_dominance=False))
-        assert points_equal(on.front.cost_points(), off.front.cost_points())
+        assert support.points_equal(on.front.cost_points(), off.front.cost_points())
         assert on.nodes_expanded <= off.nodes_expanded
         assert off.dominance_prunes == 0
         assert on.dominance_prunes >= 0
@@ -588,7 +582,7 @@ def test_diamonds_prune_cuts_half_the_work(default_lib):
     for mode in (ArchMode.MULTI_VDD, ArchMode.FGDVS):
         on = bb_pareto(g, t, default_lib, SearchConfig(mode=mode))
         off = bb_pareto(g, t, default_lib, SearchConfig(mode=mode, prune_dominance=False))
-        assert points_equal(on.front.cost_points(), off.front.cost_points())
+        assert support.points_equal(on.front.cost_points(), off.front.cost_points())
         assert on.nodes_expanded < 0.5 * off.nodes_expanded
 
 

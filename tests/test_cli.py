@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dvsched import ArchMode, SearchConfig, bb, bb_first, bb_pareto, cli, compute_timing, parse_dfg
 from dvsched.cli import main
 
 import support
@@ -626,6 +627,43 @@ def test_sweep_negative_k_max_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["pareto", "--k", str(10**12)], ["sweep", "--k-max", str(10**12)]]
+)
+def test_slack_too_large_to_table_is_input_error(tmp_path, capsys, flags):
+    # Refused before any table, or any timing past the largest slack's, is
+    # built; the bound and move tables of this slack would not fit in memory.
+    out = tmp_path / "out.csv"
+    rc = main([flags[0], "--dfg", str(bench_path("diffeq")), "--lib", LIB, *flags[1:],
+               "--out", str(out)])
+    assert rc == 2
+    assert "window steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_window_step_limit_is_inclusive(monkeypatch, default_lib):
+    g = parse_dfg(support.SMOKE_DFG)
+    t = compute_timing(g, 2)
+    steps = sum(t.alap[v] - t.asap[v] + 1 for v in g.nodes)
+    monkeypatch.setattr(bb, "MAX_WINDOW_STEPS", steps)
+    assert len(bb_pareto(g, t, default_lib, SearchConfig(ArchMode.FGDVS)).front) > 0
+    monkeypatch.setattr(bb, "MAX_WINDOW_STEPS", steps - 1)
+    for search in (bb_pareto, bb_first):
+        with pytest.raises(ValueError, match="window steps"):
+            search(g, t, default_lib, SearchConfig(ArchMode.FGDVS))
+
+
+def test_slack_two_is_within_the_window_step_limit(tmp_path, capsys):
+    for name in ("diffeq", "iir", "fir", "volterra", "lattice", "ewf", "dct"):
+        rc = main(["budget", "--dfg", str(bench_path(name)), "--lib", LIB, "--k", "2",
+                   "--algorithm", "bb-first"])
+        assert rc == 0, name
+    rc = main(["pareto", "--dfg", dfg_file(tmp_path, chain_dfg(1500)), "--lib", LIB,
+               "--mode", "multi-vdd", "--k", "2"])
+    assert rc == 0
+    assert "latency_bound=1502 front=1" in capsys.readouterr().out
+
+
 def test_cycle_is_input_error(tmp_path, capsys):
     text = "name loop\nnode 1 mul\nnode 2 mul\nedge 1 -> 2\nedge 2 -> 1\n"
     rc = main(["pareto", "--dfg", dfg_file(tmp_path, text), "--lib", LIB])
@@ -696,18 +734,85 @@ SIDECAR_KEYS = {
 
 
 def test_sidecar_keys_unchanged(tmp_path):
+    # Each sidecar is one line of JSON with the keys above, and validate
+    # reads back every schedule in it at the slack it was written at.
     graph = dfg_file(tmp_path, support.SMOKE_DFG)
     cap = ["--k", "1", "--power-budget", "60", "--algorithm"]
     commands = {
-        "pareto": ["pareto", "--k", "2", "--emit-first"],
-        "compare": ["compare", "--k", "1"],
-        "sweep": ["sweep", "--k-max", "1", "--front3"],
-        "budget-list": ["budget", *cap, "list"],
-        "budget-bb-first": ["budget", *cap, "bb-first"],
-        "budget-bb": ["budget", *cap, "bb"],
-        "oracle": ["oracle", "--k", "2"],
+        "pareto": (2, ["pareto", "--k", "2", "--emit-first"]),
+        "compare": (1, ["compare", "--k", "1"]),
+        "sweep": (1, ["sweep", "--k-max", "1", "--front3"]),
+        "budget-list": (1, ["budget", *cap, "list"]),
+        "budget-bb-first": (1, ["budget", *cap, "bb-first"]),
+        "budget-bb": (1, ["budget", *cap, "bb"]),
+        "oracle": (2, ["oracle", "--k", "2"]),
     }
-    for name, (sub, *flags) in commands.items():
+    for name, (k, (sub, *flags)) in commands.items():
         side = tmp_path / f"{name}.json"
         assert main([sub, "--dfg", graph, "--lib", LIB, *flags, "--json", str(side)]) == 0
-        assert key_paths(json.loads(side.read_text())) == SIDECAR_KEYS[name], name
+        text = side.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1, name
+        assert key_paths(json.loads(text)) == SIDECAR_KEYS[name], name
+        rc = main(["validate", "--dfg", graph, "--lib", LIB, "--k", str(k),
+                   "--schedule", str(side)])
+        assert rc == 0, name
+
+
+# ---------------------------------------------------------------------------
+# the parser shared by main() calls
+
+
+def without_elapsed(doc: object) -> object:
+    if isinstance(doc, dict):
+        return {key: without_elapsed(val) for key, val in doc.items() if key != "elapsed"}
+    if isinstance(doc, list):
+        return [without_elapsed(val) for val in doc]
+    return doc
+
+
+def clock_free(captured) -> tuple[str, str]:
+    """Captured stdout and stderr without the times they print."""
+    return tuple(re.sub(r"\d+\.\d+s\b", "", text) for text in (captured.out, captured.err))
+
+
+def test_shared_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    graph = dfg_file(tmp_path, support.SMOKE_DFG)
+
+    def outputs(at: Path) -> tuple[dict[str, bytes], object]:
+        csvs = {p.name: p.read_bytes() for p in sorted(at.glob("*.csv"))}
+        side = at / "out.json"
+        return csvs, without_elapsed(json.loads(side.read_text())) if side.exists() else None
+
+    def run(at: Path, sub: str, *flags: str) -> tuple:
+        at.mkdir()
+        argv = [sub, "--dfg", graph, "--lib", LIB, *flags]
+        if "--k-max" not in flags:
+            argv += ["--k", "1"]
+        if sub != "budget":
+            argv += ["--out", str(at / "out.csv")]
+        try:
+            code = main([*argv, "--json", str(at / "out.json")])
+        except SystemExit as exc:
+            code = exc.code
+        return (code, capsys.readouterr(), *outputs(at))
+
+    commands = [
+        ("sweep", "--k-max", "1", "--front3"),
+        ("budget", "--algorithm", "list"),
+        ("pareto", "--mode", "no-such-mode"),
+        ("pareto", "--emit-first"),
+        ("pareto",),
+    ]
+    cli._parser.cache_clear()
+    shared = [run(tmp_path / f"shared{i}", *cmd) for i, cmd in enumerate(commands)]
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(tmp_path / f"fresh{i}", *cmd) for i, cmd in enumerate(commands)]
+
+    assert [r[0] for r in shared] == [0, 0, 2, 0, 0]
+    assert set(shared[0][2]) == {"out.csv", "out.front3.csv"}
+    assert shared[1][2] == {} and shared[1][3]["feasible"] is True
+    assert "first_solution" in shared[3][3] and "first_solution" not in shared[4][3]
+    for cmd, (code, out, csvs, side), (fcode, fout, fcsvs, fside) in zip(commands, shared, fresh):
+        assert (code, csvs, side) == (fcode, fcsvs, fside), cmd
+        assert clock_free(out) == clock_free(fout), cmd
