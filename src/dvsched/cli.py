@@ -43,6 +43,7 @@ from .oracle import EnumerationBound, StateSpaceTooLarge, oracle_front
 from .power import (
     ArchMode,
     Budget,
+    CostTuple,
     ParetoSet,
     ResourceLibrary,
     load_resource_library,
@@ -107,23 +108,52 @@ def _schedule_json(schedule: Schedule) -> dict[str, list[int]]:
     return {str(v): [t, d] for v, (t, d) in sorted(schedule.items())}
 
 
-def _print_front(title: str, front: ParetoSet, op_types: Sequence[str]) -> None:
+def _front_json(front: ParetoSet) -> dict:
+    """The front's size and its members, sorted, as the sidecar writes them.
+
+    This is the one place a member's fields are read off its cost and
+    schedule: stdout, the CSVs and the sidecar all read these objects.
+    """
+    members = [
+        {
+            "area": e.cost.area_total,
+            "area_by_type": dict(sorted(e.cost.area_by_type.items())),
+            "power": e.cost.power,
+            "dynamic": e.cost.dynamic,
+            "leakage": e.cost.leakage,
+            "switching": e.cost.switching,
+            "latency": e.cost.latency,
+            "schedule": _schedule_json(e.schedule),
+        }
+        for e in front.sorted_entries()
+    ]
+    return {"front_size": len(members), "front": members}
+
+
+def _solution_json(cost: CostTuple, schedule: Schedule, elapsed: float) -> dict:
+    """One schedule found: bb-first's answer, list's, or a search's first."""
+    return {
+        "area": cost.area_total,
+        "power": cost.power,
+        "elapsed": elapsed,
+        "schedule": _schedule_json(schedule),
+    }
+
+
+def _print_front(title: str, members: list[dict], op_types: Sequence[str]) -> None:
     print(title)
-    for entry in front.sorted_entries():
-        c = entry.cost
-        per_type = " ".join(
-            f"{op}={c.area_by_type.get(op, 0)}" for op in op_types if c.area_by_type.get(op, 0)
-        )
+    for m in members:
+        per_type = " ".join(f"{op}={n}" for op in op_types if (n := m["area_by_type"].get(op)))
         print(
-            f"  area={c.area_total:<3d} power={_fmt(c.power)} "
-            f"(dyn={_fmt(c.dynamic)} leak={_fmt(c.leakage)} sw={_fmt(c.switching)}) "
+            f"  area={m['area']:<3d} power={_fmt(m['power'])} "
+            f"(dyn={_fmt(m['dynamic'])} leak={_fmt(m['leakage'])} sw={_fmt(m['switching'])}) "
             f"[{per_type}]"
         )
 
 
 def _front_csv(
     op_types: Sequence[str],
-    fronts: Iterable[tuple[ArchMode, ParetoSet]],
+    fronts: Iterable[tuple[str, list[dict]]],
     critical_length: int,
 ) -> list[list[str]]:
     """Header and rows of the front CSV; k is a point's latency beyond the critical path."""
@@ -141,21 +171,20 @@ def _front_csv(
             "schedule",
         ]
     ]
-    for mode, front in fronts:
-        for entry in front.sorted_entries():
-            c = entry.cost
+    for mode, members in fronts:
+        for m in members:
             table.append(
                 [
-                    mode.value,
-                    str(c.latency - critical_length),
-                    str(c.latency),
-                    str(c.area_total),
-                    _fmt(c.power),
-                    _fmt(c.dynamic),
-                    _fmt(c.leakage),
-                    _fmt(c.switching),
-                    *(str(c.area_by_type.get(op, 0)) for op in op_types),
-                    ";".join(f"{v}:{t}:{d}" for v, (t, d) in sorted(entry.schedule.items())),
+                    mode,
+                    str(m["latency"] - critical_length),
+                    str(m["latency"]),
+                    str(m["area"]),
+                    _fmt(m["power"]),
+                    _fmt(m["dynamic"]),
+                    _fmt(m["leakage"]),
+                    _fmt(m["switching"]),
+                    *(str(m["area_by_type"].get(op, 0)) for op in op_types),
+                    ";".join(f"{v}:{t}:{d}" for v, (t, d) in m["schedule"].items()),
                 ]
             )
     return table
@@ -165,22 +194,6 @@ def _write_csv(path: str, table: list[list[str]]) -> None:
     # csv.writer would add \r\n quoting variance for nothing; fields are
     # comma-free by construction.
     Path(path).write_text("\n".join(",".join(row) for row in table) + "\n", encoding="utf-8")
-
-
-def _front_json(front: ParetoSet) -> list[dict]:
-    return [
-        {
-            "area": e.cost.area_total,
-            "area_by_type": dict(sorted(e.cost.area_by_type.items())),
-            "power": e.cost.power,
-            "dynamic": e.cost.dynamic,
-            "leakage": e.cost.leakage,
-            "switching": e.cost.switching,
-            "latency": e.cost.latency,
-            "schedule": _schedule_json(e.schedule),
-        }
-        for e in front.sorted_entries()
-    ]
 
 
 def _counters_json(report: SearchReport) -> dict:
@@ -201,18 +214,18 @@ def _report_json(report: SearchReport, first: bool = False) -> dict:
         "completed": report.completed,
         "elapsed": report.elapsed,
         **_counters_json(report),
-        "front_size": len(report.front),
-        "front": _front_json(report.front),
+        **_front_json(report.front),
     }
     if first and report.first_solution is not None:
-        cost, schedule, at = report.first_solution
-        data["first_solution"] = {
-            "area": cost.area_total,
-            "power": cost.power,
-            "elapsed": at,
-            "schedule": _schedule_json(schedule),
-        }
+        data["first_solution"] = _solution_json(*report.first_solution)
     return data
+
+
+def _head(args: argparse.Namespace, g: Dfg, **fields: object) -> dict:
+    """A sidecar's first keys: the subcommand, the graph, its mode (compare
+    runs all three and has none), then ``fields``."""
+    mode = {"mode": args.mode} if "mode" in args else {}
+    return {"command": args.command, "dfg": g.name, **mode, **fields}
 
 
 def _emit(
@@ -236,62 +249,54 @@ def _emit(
 
 def cmd_pareto(args: argparse.Namespace) -> int:
     g, lib, (timing,) = _load(args, [args.k])
-    mode = ArchMode(args.mode)
-    report = bb_pareto(g, timing, lib, SearchConfig(mode, _make_budget(args, lib), args.time_limit))
+    cfg = SearchConfig(ArchMode(args.mode), _make_budget(args, lib), args.time_limit)
+    report = bb_pareto(g, timing, lib, cfg)
+    run = _report_json(report, args.emit_first)
     _print_front(
-        f"{g.name}: mode={mode.value} k={args.k} latency_bound={timing.latency_bound} "
-        f"front={len(report.front)} expanded={report.nodes_expanded} "
+        f"{g.name}: mode={args.mode} k={args.k} latency_bound={timing.latency_bound} "
+        f"front={run['front_size']} expanded={report.nodes_expanded} "
         f"elapsed={report.elapsed:.3f}s"
         + ("" if report.completed else " [time limit hit, front is partial]"),
-        report.front,
+        run["front"],
         lib.op_types(),
     )
-    data = {
-        "command": "pareto",
-        "dfg": g.name,
-        "mode": mode.value,
-        "k": args.k,
-        "latency_bound": timing.latency_bound,
-        **_report_json(report, args.emit_first),
-    }
-    table = _front_csv(lib.op_types(), [(mode, report.front)], timing.critical_length)
+    data = _head(args, g, k=args.k, latency_bound=timing.latency_bound, **run)
+    table = _front_csv(lib.op_types(), [(args.mode, run["front"])], timing.critical_length)
     return _emit(args, data, table, report.completed)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     g, lib, (timing,) = _load(args, [args.k])
     budget = _make_budget(args, lib)
-    reports = {
-        mode: bb_pareto(g, timing, lib, SearchConfig(mode, budget, args.time_limit))
-        for mode in MODE_ORDER
-    }
-    for mode, rep in reports.items():
-        tag = "" if rep.completed else " [partial]"
-        title = f"{g.name}: mode={mode.value} front={len(rep.front)}{tag}"
-        _print_front(title, rep.front, lib.op_types())
+    fronts: dict[ArchMode, ParetoSet] = {}
+    runs: dict[str, dict] = {}
+    for mode in MODE_ORDER:
+        report = bb_pareto(g, timing, lib, SearchConfig(mode, budget, args.time_limit))
+        fronts[mode] = report.front
+        runs[mode.value] = run = _report_json(report)
+        tag = "" if report.completed else " [partial]"
+        title = f"{g.name}: mode={mode.value} front={run['front_size']}{tag}"
+        _print_front(title, run["front"], lib.op_types())
 
-    multi = reports[ArchMode.MULTI_VDD].front
-    covered = sum(reports[ArchMode.FGDVS].front.covers(e.cost) for e in multi)
+    multi = fronts[ArchMode.MULTI_VDD]
+    covered = sum(fronts[ArchMode.FGDVS].covers(e.cost) for e in multi)
     pct = 100.0 * covered / len(multi) if multi else 100.0
     print(
         f"coverage: fgdvs matches or beats {covered}/{len(multi)} "
         f"multi-vdd points ({pct:.1f}%)"
     )
-    data = {
-        "command": "compare",
-        "dfg": g.name,
-        "k": args.k,
-        "latency_bound": timing.latency_bound,
-        "coverage": {
-            "multi_points": len(multi),
-            "covered_by_fgdvs": covered,
-            "percent": pct,
-        },
-        "runs": {m.value: _report_json(rep) for m, rep in reports.items()},
+    coverage = {
+        "multi_points": len(multi),
+        "covered_by_fgdvs": covered,
+        "percent": pct,
     }
-    fronts = [(m, rep.front) for m, rep in reports.items()]
-    table = _front_csv(lib.op_types(), fronts, timing.critical_length)
-    return _emit(args, data, table, all(rep.completed for rep in reports.values()))
+    data = _head(
+        args, g, k=args.k, latency_bound=timing.latency_bound, coverage=coverage, runs=runs
+    )
+    table = _front_csv(
+        lib.op_types(), [(m, run["front"]) for m, run in runs.items()], timing.critical_length
+    )
+    return _emit(args, data, table, all(run["completed"] for run in runs.values()))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -301,13 +306,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     g, lib, (last,) = _load(args, [args.k_max])
     check_window_steps(last)
     timings = [compute_timing(g, k) for k in range(args.k_max)] + [last]
-    mode = ArchMode(args.mode)
-    budget = _make_budget(args, lib)
-    runs = [(t, bb_pareto(g, t, lib, SearchConfig(mode, budget, args.time_limit))) for t in timings]
+    cfg = SearchConfig(ArchMode(args.mode), _make_budget(args, lib), args.time_limit)
 
     # One summary row per slack: the front's area and power extremes.  The
-    # optional merged front over (latency, area, power) takes every point in
-    # slack order, so a tie keeps the smallest-k entry.
+    # optional merged front over (latency, area, power) takes the points in
+    # slack order.  No point covers another of its own front, or one of a
+    # smaller slack's, so the order within a front changes nothing.
     table = [
         [
             "mode",
@@ -320,93 +324,85 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "max_power",
         ]
     ]
+    runs = []
     merged = ParetoSet(("latency", "area_total", "power"))
-    for t, rep in runs:
-        tag = "" if rep.completed else " [partial]"
+    for t in timings:
+        report = bb_pareto(g, t, lib, cfg)
+        run = _report_json(report)
+        runs.append({"k": t.slack, "latency_bound": t.latency_bound, **run})
+        tag = "" if report.completed else " [partial]"
         _print_front(
-            f"{g.name}: mode={mode.value} k={t.slack} latency_bound={t.latency_bound} "
-            f"front={len(rep.front)}{tag}",
-            rep.front,
+            f"{g.name}: mode={args.mode} k={t.slack} latency_bound={t.latency_bound} "
+            f"front={run['front_size']}{tag}",
+            run["front"],
             lib.op_types(),
         )
-        pts = rep.front.cost_points()
         extremes = ["", "", "", ""]
-        if pts:
-            areas, powers = zip(*pts)
+        if run["front"]:
+            areas = [m["area"] for m in run["front"]]
+            powers = [m["power"] for m in run["front"]]
             extremes = [str(min(areas)), str(max(areas)), _fmt(min(powers)), _fmt(max(powers))]
-        table.append([mode.value, str(t.slack), str(t.latency_bound), str(len(pts)), *extremes])
+        table.append(
+            [args.mode, str(t.slack), str(t.latency_bound), str(run["front_size"]), *extremes]
+        )
         if args.front3:
-            for entry in rep.front.sorted_entries():
+            for entry in report.front:
                 merged.insert(entry.cost, entry.schedule)
 
-    data = {
-        "command": "sweep",
-        "dfg": g.name,
-        "mode": mode.value,
-        "k_max": args.k_max,
-        "runs": [
-            {"k": t.slack, "latency_bound": t.latency_bound, **_report_json(rep)}
-            for t, rep in runs
-        ],
-    }
+    data = _head(args, g, k_max=args.k_max, runs=runs)
     if args.front3:
         critical = timings[0].critical_length
+        members = _front_json(merged)["front"]
         path = args.front3
         if path is True:  # no path given: next to --out, if any
             path = args.out and str(Path(args.out).with_suffix(".front3.csv"))
         if path:
-            _write_csv(path, _front_csv(lib.op_types(), [(mode, merged)], critical))
-        print(f"merged latency/area/power front: {len(merged)} points")
+            _write_csv(path, _front_csv(lib.op_types(), [(args.mode, members)], critical))
+        print(f"merged latency/area/power front: {len(members)} points")
         data["front3"] = [
             {
-                "k": e.cost.latency - critical,
-                "latency": e.cost.latency,
-                "area": e.cost.area_total,
-                "power": e.cost.power,
-                "schedule": _schedule_json(e.schedule),
+                "k": m["latency"] - critical,
+                "latency": m["latency"],
+                "area": m["area"],
+                "power": m["power"],
+                "schedule": m["schedule"],
             }
-            for e in merged.sorted_entries()
+            for m in members
         ]
-    return _emit(args, data, table, all(rep.completed for _t, rep in runs))
+    return _emit(args, data, table, all(run["completed"] for run in runs))
 
 
 def cmd_budget(args: argparse.Namespace) -> int:
     g, lib, (timing,) = _load(args, [args.k])
-    mode = ArchMode(args.mode)
-    budget = _make_budget(args, lib)
-    base = {
-        "command": "budget",
-        "dfg": g.name,
-        "mode": mode.value,
-        "k": args.k,
-        "algorithm": args.algorithm,
-    }
+    # One config for every algorithm, so each checks --time-limit alike.
+    cfg = SearchConfig(ArchMode(args.mode), _make_budget(args, lib), args.time_limit)
+    head = _head(args, g, k=args.k, algorithm=args.algorithm)
 
     if args.algorithm == "bb":
-        report = bb_pareto(g, timing, lib, SearchConfig(mode, budget, args.time_limit))
+        report = bb_pareto(g, timing, lib, cfg)
+        run = _report_json(report)
         tag = "" if report.completed else " [partial]"
-        title = f"{g.name}: budget-constrained front, {len(report.front)} points{tag}"
-        _print_front(title, report.front, lib.op_types())
-        return _emit(args, {**base, **_report_json(report)}, completed=report.completed)
+        title = f"{g.name}: budget-constrained front, {run['front_size']} points{tag}"
+        _print_front(title, run["front"], lib.op_types())
+        return _emit(args, {**head, **run}, completed=report.completed)
 
     if args.algorithm == "list":
         t0 = time.perf_counter()
-        schedule = list_schedule(g, timing, lib, mode, budget, Priority(args.priority))
+        schedule = list_schedule(g, timing, lib, cfg.mode, cfg.budget, Priority(args.priority))
         elapsed = time.perf_counter() - t0
         if schedule is None:
             print(f"{g.name}: INFEASIBLE ({elapsed:.4f}s, priority={args.priority})")
-            return _emit(args, {**base, "feasible": False, "elapsed": elapsed})
-        cost = schedule_cost(g, schedule, lib, mode, timing.latency_bound)
+            return _emit(args, {**head, "feasible": False, "elapsed": elapsed})
+        cost = schedule_cost(g, schedule, lib, cfg.mode, timing.latency_bound)
     else:  # bb-first
-        cfg = SearchConfig(mode=mode, budget=budget, time_limit=args.time_limit)
         report = bb_first(g, timing, lib, cfg)
-        base.update(completed=report.completed, **_counters_json(report))
+        head.update(completed=report.completed, **_counters_json(report))
         if report.first_solution is None:
             if not report.completed:
                 print("no schedule found before the time limit", file=sys.stderr)
-                return _emit(args, {**base, "elapsed": report.elapsed}, completed=False)
+                return _emit(args, {**head, "elapsed": report.elapsed}, completed=False)
             print(f"{g.name}: NONE")
-            return _emit(args, {**base, "feasible": False})
+            return _emit(args, {**head, "feasible": False})
         cost, schedule, elapsed = report.first_solution
     print(
         f"{g.name}: ({cost.area_total}, {_fmt(cost.power)}) "
@@ -415,47 +411,36 @@ def cmd_budget(args: argparse.Namespace) -> int:
     for v in sorted(schedule):
         t, d = schedule[v]
         print(f"  node {v} ({g.nodes[v]}): start={t} cycles={d}")
-    data = {
-        **base,
-        "feasible": True,
-        "area": cost.area_total,
-        "power": cost.power,
-        "elapsed": elapsed,
-        "schedule": _schedule_json(schedule),
-    }
-    return _emit(args, data)
+    return _emit(args, {**head, "feasible": True, **_solution_json(cost, schedule, elapsed)})
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     g, lib, (timing,) = _load(args, [args.k])
-    mode = ArchMode(args.mode)
     bound = EnumerationBound(max_nodes=args.max_nodes, max_states=args.max_states)
-    front = oracle_front(g, timing, lib, mode, _make_budget(args, lib), bound)
+    budget = _make_budget(args, lib)
+    found = _front_json(oracle_front(g, timing, lib, ArchMode(args.mode), budget, bound))
     _print_front(
-        f"{g.name}: oracle mode={mode.value} k={args.k} "
-        f"latency_bound={timing.latency_bound} front={len(front)}",
-        front,
+        f"{g.name}: oracle mode={args.mode} k={args.k} "
+        f"latency_bound={timing.latency_bound} front={found['front_size']}",
+        found["front"],
         lib.op_types(),
     )
-    data = {
-        "command": "oracle",
-        "dfg": g.name,
-        "mode": mode.value,
-        "k": args.k,
-        "latency_bound": timing.latency_bound,
-        "front_size": len(front),
-        "front": _front_json(front),
-    }
-    table = _front_csv(lib.op_types(), [(mode, front)], timing.critical_length)
+    data = _head(args, g, k=args.k, latency_bound=timing.latency_bound, **found)
+    table = _front_csv(lib.op_types(), [(args.mode, found["front"])], timing.critical_length)
     return _emit(args, data, table)
 
 
 def _parse_schedule_file(path: str) -> list[Schedule]:
     """Read one schedule, or every schedule in a sidecar JSON."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    if not data.keys() & {"front", "runs", "schedule"}:
+    # Every sidecar names its command; a budget one may hold no schedule.
+    if not data.keys() & {"command", "front", "runs", "schedule"}:
         return [_coerce_schedule(data)]
     runs = data.get("runs") or []
     if isinstance(runs, dict):  # compare keys its runs by mode; sweep lists them
@@ -479,7 +464,10 @@ def _coerce_schedule(raw: object) -> Schedule:
     for key, val in raw.items():
         if not (isinstance(val, list) and len(val) == 2 and all(type(x) is int for x in val)):
             raise ValueError(f"node {key}: expected [start, cycles], got {val!r}")
-        sched[int(key)] = (val[0], val[1])
+        node = int(key)
+        if node in sched:
+            raise ValueError(f"node {node} is named twice")
+        sched[node] = (val[0], val[1])
     return sched
 
 

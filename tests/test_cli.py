@@ -27,6 +27,21 @@ def read_rows(path: Path) -> list[dict[str, str]]:
     return [dict(zip(cols, row.split(","))) for row in rows]
 
 
+def without_elapsed(doc: object) -> object:
+    if isinstance(doc, dict):
+        return {key: without_elapsed(val) for key, val in doc.items() if key != "elapsed"}
+    if isinstance(doc, list):
+        return [without_elapsed(val) for val in doc]
+    return doc
+
+
+def assert_golden_sidecar(side: Path, golden: str) -> None:
+    # Without its wall-clock times and re-dumped compactly, a sidecar is
+    # pinned down to its key order.
+    text = json.dumps(without_elapsed(json.loads(side.read_text(encoding="utf-8")))) + "\n"
+    assert text == (DATA_DIR / golden).read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
 # pareto
 
@@ -71,12 +86,14 @@ def test_pareto_csv_bytes_are_deterministic(tmp_path):
 
 def test_pareto_golden_diffeq_k1(tmp_path):
     out = tmp_path / "front.csv"
+    side = tmp_path / "front.json"
     rc = main([
         "pareto", "--dfg", str(bench_path("diffeq")), "--lib", LIB,
-        "--mode", "fgdvs", "--k", "1", "--out", str(out),
+        "--mode", "fgdvs", "--k", "1", "--out", str(out), "--json", str(side), "--emit-first",
     ])
     assert rc == 0
     assert out.read_bytes() == (DATA_DIR / "pareto_diffeq_k1_fgdvs.csv").read_bytes()
+    assert_golden_sidecar(side, "pareto_diffeq_k1_fgdvs.json")
 
 
 def test_pareto_time_limit_exit_code(tmp_path, capsys):
@@ -167,9 +184,10 @@ def test_pareto_window_shorter_than_fastest_level(tmp_path, capsys, mode):
 
 def test_compare_coverage_line_and_golden(tmp_path, capsys):
     out = tmp_path / "cmp.csv"
+    side = tmp_path / "cmp.json"
     rc = main([
         "compare", "--dfg", str(bench_path("diffeq")), "--lib", LIB,
-        "--k", "0", "--out", str(out),
+        "--k", "0", "--out", str(out), "--json", str(side),
     ])
     assert rc == 0
     stdout = capsys.readouterr().out
@@ -179,6 +197,7 @@ def test_compare_coverage_line_and_golden(tmp_path, capsys):
     )
     assert m and m.group(1) == m.group(2) == "3" and m.group(3) == "100.0"
     assert out.read_bytes() == (DATA_DIR / "compare_diffeq_k0.csv").read_bytes()
+    assert_golden_sidecar(side, "compare_diffeq_k0.json")
 
 
 def test_compare_single_node_fronts_coincide(tmp_path, capsys):
@@ -214,14 +233,16 @@ def test_compare_sidecar_structure(tmp_path):
 def test_sweep_golden_iir(tmp_path):
     out = tmp_path / "sweep.csv"
     front3 = tmp_path / "sweep.front3.csv"
+    side = tmp_path / "sweep.json"
     rc = main([
         "sweep", "--dfg", str(bench_path("iir")), "--lib", LIB,
         "--mode", "fgdvs", "--k-max", "2",
-        "--out", str(out), "--front3", str(front3),
+        "--out", str(out), "--front3", str(front3), "--json", str(side),
     ])
     assert rc == 0
     assert out.read_bytes() == (DATA_DIR / "sweep_iir_k2.csv").read_bytes()
     assert front3.read_bytes() == (DATA_DIR / "sweep_iir_k2.front3.csv").read_bytes()
+    assert_golden_sidecar(side, "sweep_iir_k2.json")
 
 
 def test_sweep_k0_row_matches_pareto(tmp_path):
@@ -569,21 +590,27 @@ def test_bad_area_budget_is_input_error(tmp_path, capsys):
     assert "area budget" in capsys.readouterr().err
 
 
+IGNORED_BUDGETS = [
+    (["--area-budget", "mull=1"], "'mull' is not in the library"),
+    (["--area-budget", "mul=1,mul=9"], "names 'mul' twice"),
+    (["--time-limit", "nan"], "time_limit must be positive"),
+    (["--power-budget", "nan"], "power cap must be finite"),
+    (["--power-budget", "inf"], "power cap must be finite"),
+    (["--time-limit", "-5"], "time_limit must be positive"),
+]
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--area-budget", "mull=1"], "'mull' is not in the library"),
-        (["--area-budget", "mul=1,mul=9"], "names 'mul' twice"),
-        (["--time-limit", "nan"], "time_limit must be positive"),
-        (["--power-budget", "nan"], "power cap must be finite"),
-        (["--power-budget", "inf"], "power cap must be finite"),
+        (["--algorithm", algorithm, *flags], message)
+        for algorithm in ("bb-first", "list")
+        for flags, message in IGNORED_BUDGETS
     ],
 )
 def test_budget_that_would_be_ignored_is_input_error(capsys, flags, message):
-    rc = main([
-        "budget", "--dfg", str(bench_path("diffeq")), "--lib", LIB,
-        "--algorithm", "bb-first", *flags,
-    ])
+    # The list scheduler takes no time limit, but checks it like the searches.
+    rc = main(["budget", "--dfg", str(bench_path("diffeq")), "--lib", LIB, *flags])
     assert rc == 2
     assert message in capsys.readouterr().err
 
@@ -605,12 +632,21 @@ def test_non_finite_library_is_input_error(tmp_path, capsys):
         ({"1": 5}, "expected [start, cycles]"),
         ({"runs": [1]}, "must hold objects with a schedule"),
         ({"front": [{"area": 1}]}, "must hold objects with a schedule"),
+        # "01" and "1" are one node; neither entry may silently win.
+        pytest.param('{"01": [1, 9], "1": [1, 1]}', "node 1 is named twice", id="node-twice"),
+        # A budget sidecar without a schedule (INFEASIBLE, NONE or timed out).
+        pytest.param(
+            {"command": "budget", "dfg": "tri", "algorithm": "list", "feasible": False},
+            "no schedules found",
+            id="sidecar-without-schedule",
+        ),
+        pytest.param("[" * 200_000 + "]" * 200_000, "nested too deeply", id="deep"),
     ],
 )
 def test_validate_malformed_schedule_is_input_error(tmp_path, capsys, doc, message):
     graph = dfg_file(tmp_path, support.TRI_DFG)
     sched = tmp_path / "sched.json"
-    sched.write_text(json.dumps(doc))
+    sched.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     rc = main(["validate", "--dfg", graph, "--lib", LIB, "--schedule", str(sched)])
     assert rc == 2
     assert message in capsys.readouterr().err
@@ -760,14 +796,6 @@ def test_sidecar_keys_unchanged(tmp_path):
 
 # ---------------------------------------------------------------------------
 # the parser shared by main() calls
-
-
-def without_elapsed(doc: object) -> object:
-    if isinstance(doc, dict):
-        return {key: without_elapsed(val) for key, val in doc.items() if key != "elapsed"}
-    if isinstance(doc, list):
-        return [without_elapsed(val) for val in doc]
-    return doc
 
 
 def clock_free(captured) -> tuple[str, str]:
