@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -140,15 +141,28 @@ def _solution_json(cost: CostTuple, schedule: Schedule, elapsed: float) -> dict:
     }
 
 
+def _say(*lines: str) -> None:
+    """Print ``lines`` to stdout.  Once its reader has closed it, stdout
+    goes to the null device, so the run still writes its files and exits
+    as it would have."""
+    try:
+        print(*lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _print_front(title: str, members: list[dict], op_types: Sequence[str]) -> None:
-    print(title)
+    lines = [title]
     for m in members:
         per_type = " ".join(f"{op}={n}" for op in op_types if (n := m["area_by_type"].get(op)))
-        print(
+        lines.append(
             f"  area={m['area']:<3d} power={_fmt(m['power'])} "
             f"(dyn={_fmt(m['dynamic'])} leak={_fmt(m['leakage'])} sw={_fmt(m['switching'])}) "
             f"[{per_type}]"
         )
+    _say(*lines)
 
 
 def _front_csv(
@@ -281,7 +295,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     multi = fronts[ArchMode.MULTI_VDD]
     covered = sum(fronts[ArchMode.FGDVS].covers(e.cost) for e in multi)
     pct = 100.0 * covered / len(multi) if multi else 100.0
-    print(
+    _say(
         f"coverage: fgdvs matches or beats {covered}/{len(multi)} "
         f"multi-vdd points ({pct:.1f}%)"
     )
@@ -358,7 +372,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             path = args.out and str(Path(args.out).with_suffix(".front3.csv"))
         if path:
             _write_csv(path, _front_csv(lib.op_types(), [(args.mode, members)], critical))
-        print(f"merged latency/area/power front: {len(members)} points")
+        _say(f"merged latency/area/power front: {len(members)} points")
         data["front3"] = [
             {
                 "k": m["latency"] - critical,
@@ -391,7 +405,7 @@ def cmd_budget(args: argparse.Namespace) -> int:
         schedule = list_schedule(g, timing, lib, cfg.mode, cfg.budget, Priority(args.priority))
         elapsed = time.perf_counter() - t0
         if schedule is None:
-            print(f"{g.name}: INFEASIBLE ({elapsed:.4f}s, priority={args.priority})")
+            _say(f"{g.name}: INFEASIBLE ({elapsed:.4f}s, priority={args.priority})")
             return _emit(args, {**head, "feasible": False, "elapsed": elapsed})
         cost = schedule_cost(g, schedule, lib, cfg.mode, timing.latency_bound)
     else:  # bb-first
@@ -401,16 +415,16 @@ def cmd_budget(args: argparse.Namespace) -> int:
             if not report.completed:
                 print("no schedule found before the time limit", file=sys.stderr)
                 return _emit(args, {**head, "elapsed": report.elapsed}, completed=False)
-            print(f"{g.name}: NONE")
+            _say(f"{g.name}: NONE")
             return _emit(args, {**head, "feasible": False})
         cost, schedule, elapsed = report.first_solution
-    print(
-        f"{g.name}: ({cost.area_total}, {_fmt(cost.power)}) "
-        f"{elapsed:.4f}s ({args.algorithm})"
+    _say(
+        f"{g.name}: ({cost.area_total}, {_fmt(cost.power)}) {elapsed:.4f}s ({args.algorithm})",
+        *(
+            f"  node {v} ({g.nodes[v]}): start={t} cycles={d}"
+            for v, (t, d) in sorted(schedule.items())
+        ),
     )
-    for v in sorted(schedule):
-        t, d = schedule[v]
-        print(f"  node {v} ({g.nodes[v]}): start={t} cycles={d}")
     return _emit(args, {**head, "feasible": True, **_solution_json(cost, schedule, elapsed)})
 
 
@@ -483,16 +497,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
         violation = validate_schedule(g, timing, schedule, allowed)
         if violation is not None:
             failures += 1
-            print(f"{label}: INVALID [{violation.rule}] {violation.message}")
+            _say(f"{label}: INVALID [{violation.rule}] {violation.message}")
             continue
         cost = schedule_cost(g, schedule, lib, mode, timing.latency_bound)
-        print(
+        _say(
             f"{label}: ok area={cost.area_total} power={_fmt(cost.power)} "
             f"(dyn={_fmt(cost.dynamic)} leak={_fmt(cost.leakage)} "
             f"sw={_fmt(cost.switching)})"
         )
     if failures:
-        print(f"{failures}/{len(schedules)} schedules failed validation")
+        _say(f"{failures}/{len(schedules)} schedules failed validation")
         return EXIT_INPUT
     return EXIT_OK
 
@@ -501,10 +515,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser, *, mode: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, mode: bool = True, slack: bool = True) -> None:
     p.add_argument("--dfg", required=True, help="data-flow graph file")
     p.add_argument("--lib", required=True, help="resource library file")
-    p.add_argument("--k", type=int, default=0, help="latency slack beyond the critical path (default 0)")
+    if slack:
+        p.add_argument("--k", type=int, default=0, help="latency slack beyond the critical path (default 0)")
     if mode:
         p.add_argument(
             "--mode",
@@ -555,8 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-limit", type=float, metavar="SEC", help="per-mode time limit")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("sweep", help="fronts across slack values 0..k-max")
-    _add_common(p)
+    # No abbreviations: sweep has no --k, and --k must not pass for --k-max.
+    p = sub.add_parser("sweep", help="fronts across slack values 0..k-max", allow_abbrev=False)
+    _add_common(p, slack=False)
     _add_budget_args(p)
     _add_output_args(p)
     p.add_argument("--k-max", type=int, default=2, help="largest slack to try (default 2)")

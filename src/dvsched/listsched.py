@@ -37,12 +37,12 @@ def list_schedule(
     (MAX_DURATION) or smallest (MIN_DURATION) cycle count the mode may use
     that both meets its deadline window and keeps the running prefix cost
     within the budget.  With no budget and MIN_DURATION this degenerates to
-    the unit-duration ASAP schedule.  Under a budget, the prefix with a
-    candidate added is priced by a ``CostState``, the candidate taken back
-    if the budget rejects it; with no budget nothing is priced.  A pricing
-    costs what changed since the last one, so outside FGDVS the pass is
-    linear in the graph size; under FGDVS a candidate also costs binding
-    the ops of its type after it in (start, node id) order again.
+    the unit-duration ASAP schedule.  Under a budget, a ``CostState`` probes
+    the prefix with the candidate, which is placed only if the budget
+    accepts it; with no budget nothing is priced.  A probe costs what the
+    candidate changes, so outside FGDVS the pass is linear in the graph
+    size; under FGDVS a probe also binds the ops of the candidate's type
+    after it in (start, node id) order again.
     """
     price = lib.pricing(mode)
     prefix = None if budget.unconstrained else CostState(price, timing.latency_bound)
@@ -59,11 +59,10 @@ def list_schedule(
                 continue
             if prefix is None:
                 break
-            prefix.add(v, op, earliest, rows[dur])
-            cost = prefix.cost()
+            cost = prefix.probe(v, op, earliest, rows[dur])
             if budget.allows(cost.area_by_type, cost.power):
+                prefix.place()
                 break
-            prefix.undo()
         else:
             return None
         schedule[v] = (earliest, dur)

@@ -13,13 +13,13 @@ FGDVS an op leaks only while it runs.  ``Pricing`` states these rules once,
 as a table per (library, mode) that ``ResourceLibrary.pricing`` builds on
 first use; the search, the list scheduler, the oracle and ``validate`` read it.
 Cycle counts are unique within an op type, so (type, duration) identifies
-a node's level.  ``CostState`` turns placed nodes and their rows into a
-``CostTuple``: the list scheduler prices each candidate with it, and
-``schedule_cost`` adds a whole schedule to one.  A pricing costs what
-changed since the last one: the terms of rows priced before are kept as
-exact running sums (Shewchuk's partials, as in ``math.fsum``), and under
-FGDVS a candidate costs the ops of its type after it in (start, node id)
-order, which are bound again from its place.
+a node's level.  ``schedule_cost`` prices a whole schedule in one pass.
+``CostState`` holds a list-scheduling prefix: ``probe`` prices the prefix
+plus a candidate node and changes nothing, and ``place`` keeps the
+candidate.  A probe costs what the candidate changes: the placed rows'
+terms are kept as exact running sums (Shewchuk's partials, as in
+``math.fsum``), and under FGDVS it binds the ops of the candidate's type
+from the candidate's place on again.
 
 Library file format (line oriented, ``#`` starts a comment)::
 
@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from bisect import bisect_left, bisect_right
-from itertools import chain, islice
+from bisect import bisect_left
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -267,18 +267,33 @@ class Pricing:
         )
 
 
+def _check_span(nid: int, start: int, end: int, bound: int) -> None:
+    """Raise ValueError unless node ``nid`` runs in steps 1 .. ``bound``."""
+    if start < 1:
+        raise ValueError(f"node {nid}: start step {start} is before step 1")
+    if end - 1 > bound:
+        raise ValueError(f"schedule completes at step {end - 1}, after the latency bound {bound}")
+
+
+def _occupy(steps: list[int], start: int, end: int) -> None:
+    """Count one more op running in each step of ``start .. end - 1``."""
+    if len(steps) < end:
+        steps += [0] * (end - len(steps))
+    for step in range(start, end):
+        steps[step] += 1
+
+
 def _bind(
     ops: list[tuple[int, int, int, float]],
     units: int,
     pool: list[list[int]],
-    first: int,
     seats: list[int] | None,
 ) -> Iterator[float]:
-    """The greedy FGDVS binding rule: bind ``ops[first:]``, in list order,
-    onto one op type's units and yield the psw of each op charged.
+    """The greedy FGDVS binding rule: bind ``ops``, in list order, onto one
+    op type's units and yield the psw of each op charged.
 
     ``pool`` holds ``[busy until, last duration, unit index]`` per used unit,
-    in unit order, as the ops before ``first`` left it, and is updated in
+    in unit order, as the ops bound before left it, and is updated in
     place; at most ``units`` units are used.  An op is charged its level's
     psw unless it lands on a never-used unit or on a free unit whose previous
     op had the same duration.  Preference: same-duration free unit, then
@@ -289,7 +304,7 @@ def _bind(
     charge is yielded ``ops[len(seats)]`` is the op it charges.
     """
     record = None if seats is None else seats.append
-    for start, _nid, dur, p_sw in islice(ops, first, None) if first else ops:
+    for start, _nid, dur, p_sw in ops:
         spare = None  # the first free used unit
         for unit in pool:
             if unit[0] < start:
@@ -318,12 +333,12 @@ def type_switch_charges(ops: list[tuple[int, int, int, float]], units: int) -> I
     ``ops`` holds the type's ops as ``(start, node id, cycles, psw of the
     op's level)`` and ``units`` its unit count by the FGDVS area rule.  The
     list is sorted in place and its ops are bound in ascending (start, node
-    id) order.  ``CostState`` keeps these charges per type, and the search
-    reads them one at a time, so it can stop once the charges so far
+    id) order.  ``schedule_cost`` sums these charges per type, and the
+    search reads them one at a time, so it can stop once the charges so far
     already prune.
     """
     ops.sort()
-    return _bind(ops, units, [], 0, None)
+    return _bind(ops, units, [], None)
 
 
 def _fold(partials: list[float], x: float) -> None:
@@ -346,102 +361,84 @@ def _fold(partials: list[float], x: float) -> None:
 
 
 class _Binder:
-    """One FGDVS op type's ops and their greedy binding, kept so that it can
-    be resumed.
+    """One FGDVS op type's placed ops, in (start, node id) order, and their
+    greedy binding, kept so that a probe can resume it.
 
-    ``ops`` is in (start, node id) order once the type has been bound;
-    before that ``CostState.extend`` appends to it, and the first ``bind``
-    sorts it and binds it in one pass, which is all that ``schedule_cost``
-    needs.  From the second ``bind`` on the binding is kept: ``seats[i]`` is
-    the unit of ``ops[i]`` for every i below ``clean``, ``opened[u]`` the
-    index of the op that opened unit u, ``paid`` the charged ops in order
-    and ``counts`` how many of them pay each psw.  ``terms`` holds the
-    charges as floats whose exact sum is theirs, for ``Pricing.cost``.
+    ``seats[i]`` is the unit of ``ops[i]``, ``opened[u]`` the index of the
+    op that opened unit u, ``paid`` the charged ops in order and ``counts``
+    how many of them pay each psw.  ``terms`` holds the charges as floats
+    whose exact sum is theirs, for ``Pricing.cost``.
     """
 
-    __slots__ = ("ops", "units", "dirty", "clean", "seats", "opened", "paid", "counts", "terms")
+    __slots__ = ("ops", "units", "seats", "opened", "paid", "counts", "terms", "_probe")
 
     def __init__(self) -> None:
         self.ops: list[tuple[int, int, int, float]] = []
-        self.units: int | None = None  # the unit count of the binding
-        self.dirty = True  # an op was added or taken back since the binding
-        self.seats: list[int] | None = None
+        self.units = 0  # the unit count of the binding
+        self.seats: list[int] = []
+        self.opened: list[int] = []
+        self.paid: list[tuple[int, int, int, float]] = []
+        self.counts: dict[float, int] = {}
+        self.terms: list[float] = []
 
-    def add(self, entry: tuple[int, int, int, float]) -> None:
-        """Insert ``entry`` at its place in a bound type."""
-        at = bisect_left(self.ops, entry)
-        self.ops.insert(at, entry)
-        self.clean = min(self.clean, at)
-        self.dirty = True
+    def probe(self, entry: tuple[int, int, int, float], units: int) -> list[float]:
+        """The charge terms with ``entry`` added and ``units`` units, at
+        least the binding's; ``place`` keeps them, nothing else changes.
 
-    def remove(self, entry: tuple[int, int, int, float]) -> None:
-        """Take back ``entry``, the op of the last ``add``."""
-        if self.units is None:
-            self.ops.pop()
-        else:
-            at = bisect_left(self.ops, entry)
-            del self.ops[at]
-            self.clean = min(self.clean, at)
-        self.dirty = True
-
-    def bind(self, units: int) -> None:
-        """Bring the binding up to date for ``units`` units.
-
-        The binding of the ops before the first op added or taken back is
-        kept, and so, when the unit count grows, is that of the ops before
-        the first charged op (none of them found every unit in use), and,
-        when it shrinks to U, that of the ops before the one that opened
-        unit U.  From there the greedy binding resumes on the pool those
-        ops left, rebuilt by walking back over their units.
+        The binding of the ops before ``entry``'s place is kept, and, when
+        the unit count grows, only that of the ops before the first charged
+        op (none of them found every unit in use).  The rest is bound again
+        on the pool the kept ops left, rebuilt by walking back over their
+        units.
         """
-        if not self.dirty and units == self.units:
-            return
-        ops = self.ops
-        if self.units is None:  # the first binding: one pass, nothing kept
-            self.terms = list(type_switch_charges(ops, units))
-            self.units, self.clean, self.dirty = units, len(ops), False
-            return
-        if self.seats is None:  # the second: bind again, keeping the binding
-            self.seats, self.opened, self.paid, self.counts = [], [], [], {}
-            at = 0
-        else:
-            at = self.clean
-            if units > self.units and self.paid:
-                at = min(at, bisect_left(ops, self.paid[0]))
-            elif units < self.units and len(self.opened) > units:
-                at = min(at, self.opened[units])
-        self.units, self.clean, self.dirty = units, len(ops), False
-        seats, opened, paid, counts = self.seats, self.opened, self.paid, self.counts
-        # Drop what the ops from ``at`` on (or the op taken back there) held.
-        del seats[at:]
-        del opened[bisect_left(opened, at):]
-        cut = bisect_right(paid, ops[at - 1]) if at else 0
-        for entry in paid[cut:]:
-            counts[entry[3]] -= 1
-        del paid[cut:]
-        if at < len(ops):
-            pool: list = [None] * len(opened)
-            missing = len(pool)
-            j = at
-            while missing:
-                j -= 1
-                unit = seats[j]
-                if pool[unit] is None:
-                    start, _nid, dur, _psw = ops[j]
-                    pool[unit] = [start + dur - 1, dur, unit]
-                    missing -= 1
-            for p_sw in _bind(ops, units, pool, at, seats):
-                paid.append(ops[len(seats)])
-                counts[p_sw] = counts.get(p_sw, 0) + 1
-            opened += [seats.index(unit, at) for unit in range(len(opened), len(pool))]
+        ops, seats, paid = self.ops, self.seats, self.paid
+        at = place = bisect_left(ops, entry)
+        if units > self.units and paid:
+            at = min(at, bisect_left(ops, paid[0]))
+        missing = bisect_left(self.opened, at)  # the units ops[:at] used
+        pool: list = [None] * missing
+        j = at
+        while missing:
+            j -= 1
+            unit = seats[j]
+            if pool[unit] is None:
+                start, _nid, dur, _psw = ops[j]
+                pool[unit] = [start + dur - 1, dur, unit]
+                missing -= 1
+        tail = [*ops[at:place], entry, *ops[place:]]
+        cut = bisect_left(paid, tail[0])  # the charged ops before ``at``
+        counts = dict(self.counts)
+        for dropped in paid[cut:]:
+            counts[dropped[3]] -= 1
+        tail_seats: list[int] = []
+        tail_paid = []
+        for p_sw in _bind(tail, units, pool, tail_seats):
+            tail_paid.append(tail[len(tail_seats)])
+            counts[p_sw] = counts.get(p_sw, 0) + 1
         # n copies of psw sum to psw * n exactly: psw times each power of
         # two in n, each of them exact.
-        self.terms = [
+        terms = [
             p_sw * (1 << bit)
             for p_sw, n in counts.items()
             for bit in range(n.bit_length())
             if n >> bit & 1
         ]
+        self._probe = (entry, place, at, units, tail_seats, cut, tail_paid, counts, terms)
+        return terms
+
+    def place(self) -> None:
+        """Keep the op, the binding and the terms of the last ``probe``."""
+        entry, place, at, self.units, tail_seats, cut, tail_paid, self.counts, self.terms = (
+            self._probe
+        )
+        self.ops.insert(place, entry)
+        seats, opened = self.seats, self.opened
+        seats[at:] = tail_seats
+        del opened[bisect_left(opened, at):]
+        for i, unit in enumerate(tail_seats, at):
+            if unit == len(opened):
+                opened.append(i)
+        self.paid[cut:] = tail_paid
 
 
 @dataclass
@@ -493,149 +490,71 @@ class Budget:
 
 
 class CostState:
-    """The cost of a schedule built one node at a time, with a one-step undo.
+    """The cost of a list-scheduling prefix, grown one node at a time.
 
-    ``add`` places a node with its row from the mode's ``Pricing`` table:
-    per unit kind it keeps an occupancy count per c-step and the peak, per
-    type the area that the peaks make, and the row of each placed node.
-    Where the mode charges switching it also keeps each type's ops and their
-    binding in a ``_Binder``.  ``undo`` takes back the last ``add`` exactly.
-    A start before step 1 or an end after the latency bound raises
-    ValueError.
-
-    ``cost`` makes one ``Pricing.cost`` call, whose ``fsum`` sums do not
-    depend on term order, so the cost is the same whatever order the nodes
-    came in.  Its work is in proportion to what changed since the last
-    ``cost``, not to the number of nodes placed:
-
-    * the dynamic and per-op leak terms of the rows an earlier ``cost``
-      priced are folded into exact partials (``_fold``), and only the rows
-      added since are passed as they are;
-    * each type with an op added or taken back is bound again from that
-      op's place in (start, node id) order, so pricing a candidate costs the
-      ops of its type after it; a type whose unit count changed is bound
-      again from the first op whose binding the change can alter.
-
-    The first ``cost`` folds nothing and binds each type in one pass, so
-    ``schedule_cost``'s single pricing keeps nothing it does not need.
+    ``probe`` prices the placed nodes plus a candidate and changes nothing;
+    ``place`` keeps the candidate of the last probe.  The state keeps per
+    unit kind an occupancy count per c-step and the peak, per type the
+    area, the placed rows' terms as exact partials (``_fold``) and, where
+    switching is charged, a ``_Binder``.  So a probe costs what the
+    candidate changes, not the number of nodes placed, and, ``fsum`` being
+    order-free, equals ``schedule_cost`` on the same nodes.
     """
 
-    __slots__ = (
-        "price", "switching", "bound", "busy", "peaks", "area", "rows", "binders", "sums",
-        "folded", "priced", "_last",
-    )
+    __slots__ = ("price", "bound", "busy", "peaks", "area", "binders", "sums", "_probe")
 
     def __init__(self, price: Pricing, latency_bound: int):
         self.price = price
-        self.switching = price.switching
         self.bound = latency_bound
         self.busy: dict[int, list[int]] = {}  # per unit kind, the ops running per step
         self.peaks: dict[int, int] = {}  # peak concurrency per unit kind
         self.area: dict[str, int] = {}
-        self.rows: list[Row] = []  # per placed node, the row of its level
         self.binders: dict[str, _Binder] = {}  # per type, where switching is charged
         self.sums: tuple[list[float], list[float]] = ([], [])  # dynamic, per-op leak
-        self.folded = 0  # rows[:folded] are in sums
-        self.priced = 0  # rows[:priced] were priced by a cost
-        self._last: tuple = ()
 
-    def add(self, nid: int, op: str, start: int, row: Row) -> None:
-        """Place node ``nid``, of type ``op``, at ``start`` with ``row``."""
-        last = (nid, op, start, row, self.peaks.get(row[1]), self.area.get(op))
-        self.extend(((nid, op, start, row),))
-        self._last = last
-
-    def extend(self, placed: Iterable[tuple[int, str, int, Row]]) -> None:
-        """``add`` each ``(node id, type, start, row)`` in turn, keeping no
-        undo record: ``undo`` takes back only an ``add`` made after this."""
-        busy, peaks, area, rows, binders = self.busy, self.peaks, self.area, self.rows, self.binders
-        bound, switching = self.bound, self.switching
-        for nid, op, start, row in placed:
-            cycles, kind = row[0], row[1]
-            end = start + cycles
-            if start < 1:
-                raise ValueError(f"node {nid}: start step {start} is before step 1")
-            if end - 1 > bound:
-                raise ValueError(
-                    f"schedule completes at step {end - 1}, after the latency bound {bound}"
-                )
-            steps = busy.get(kind)
-            if steps is None:
-                steps = busy[kind] = []
-            if len(steps) < end:
-                steps += [0] * (end - len(steps))
-            peak = 0
-            for step in range(start, end):
-                steps[step] = count = steps[step] + 1
-                if count > peak:
-                    peak = count
-            old_peak = peaks.get(kind)
-            if old_peak is None or peak > old_peak:
-                peaks[kind] = peak
-                area[op] = area.get(op, 0) + peak - (old_peak or 0)
-            rows.append(row)
-            if switching:
-                binder = binders.get(op)
-                if binder is None:
-                    binder = binders[op] = _Binder()
-                if binder.units is None:
-                    binder.ops.append((start, nid, cycles, row[4]))
-                else:
-                    binder.add((start, nid, cycles, row[4]))
-
-    def undo(self) -> None:
-        """Take back the last ``add``."""
-        nid, op, start, row, old_peak, old_area = self._last
+    def probe(self, nid: int, op: str, start: int, row: Row) -> CostTuple:
+        """The CostTuple of the placed nodes and node ``nid``, of type
+        ``op``, at ``start`` with ``row``.  A start before step 1 or an end
+        after the latency bound raises ValueError, a power too large for a
+        float LibraryError."""
         cycles, kind = row[0], row[1]
-        steps = self.busy[kind]
-        for step in range(start, start + cycles):
-            steps[step] -= 1
-        for values, key, old in ((self.peaks, kind, old_peak), (self.area, op, old_area)):
-            if old is None:
-                del values[key]
-            else:
-                values[key] = old
-        rows = self.rows
-        rows.pop()
-        if len(rows) < self.folded:  # a folded row: fold again from the start
-            self.sums = ([], [])
-            self.folded = 0
-        self.priced = min(self.priced, len(rows))
-        if self.switching:
-            binder = self.binders[op]
-            binder.remove((start, nid, cycles, row[4]))
-            if not binder.ops:
-                del self.binders[op]
-
-    def cost(self) -> CostTuple:
-        """The CostTuple of the nodes placed so far."""
-        rows, folded = self.rows, self.folded
-        if self.priced > folded:
-            # These rows were priced without overflow, so their sums are finite.
-            dyn, leak = self.sums
-            for row in rows[folded:self.priced]:
-                _fold(dyn, row[2])
-                if row[3]:
-                    _fold(leak, row[3])
-            folded = self.folded = self.priced
-        if folded:
-            fresh = rows[folded:]
-            dyn, leak = self.sums
-            dynamic = chain(dyn, map(itemgetter(2), fresh))
-            op_leakage = chain(leak, map(itemgetter(3), fresh))
-        else:
-            dynamic, op_leakage = map(itemgetter(2), rows), map(itemgetter(3), rows)
-        switching = []
-        if self.binders:
-            area = self.area
-            for op, binder in self.binders.items():
-                binder.bind(area[op])
-                switching += binder.terms
-        cost = self.price.cost(
-            dict(self.area), dynamic, op_leakage, self.peaks.items(), switching, self.bound
+        end = start + cycles
+        _check_span(nid, start, end, self.bound)
+        peaks, area = self.peaks, dict(self.area)
+        old = peaks.get(kind, 0)
+        peak = max(self.busy.get(kind, ())[start:end], default=0) + 1
+        if peak > old:
+            peaks = {**peaks, kind: peak}
+            area[op] = area.get(op, 0) + peak - old
+        binder, switching = None, ()
+        if self.price.switching:
+            binder = self.binders.get(op) or _Binder()
+            terms = binder.probe((start, nid, cycles, row[4]), area[op])
+            others = [b.terms for b in self.binders.values() if b is not binder]
+            switching = chain(terms, *others)
+        self._probe = (op, start, row, peaks, binder)
+        dyn, leak = self.sums
+        return self.price.cost(
+            area, chain(dyn, (row[2],)), chain(leak, (row[3],)), peaks.items(),
+            switching, self.bound,
         )
-        self.priced = len(rows)
-        return cost
+
+    def place(self) -> None:
+        """Place the node of the last ``probe``."""
+        op, start, row, peaks, binder = self._probe
+        kind = row[1]
+        _occupy(self.busy.setdefault(kind, []), start, start + row[0])
+        if peaks is not self.peaks:
+            self.area[op] = self.area.get(op, 0) + peaks[kind] - self.peaks.get(kind, 0)
+            self.peaks = peaks
+        # Only a probe that returned is placed: its sums fit a float.
+        dyn, leak = self.sums
+        _fold(dyn, row[2])
+        if row[3]:
+            _fold(leak, row[3])
+        if binder is not None:
+            binder.place()
+            self.binders[op] = binder
 
 
 def schedule_cost(
@@ -645,22 +564,36 @@ def schedule_cost(
     mode: ArchMode,
     latency_bound: int,
 ) -> CostTuple:
-    """Area and average power of a (possibly partial) schedule: its nodes
-    added to one ``CostState``.
+    """Area and average power of a (possibly partial) schedule, in one pass.
 
     Every node's row is looked up first, so a duration the mode cannot use
-    raises LibraryError before a placement can raise ValueError.
+    raises LibraryError before a start before step 1 or an end after the
+    latency bound raises ValueError.
     """
     price = lib.pricing(mode)
-    lookup = price.lookup
     nodes = g.nodes
-    placed = [
-        (nid, nodes[nid], start, lookup(nid, nodes[nid], dur))
-        for nid, (start, dur) in schedule.items()
-    ]
-    state = CostState(price, latency_bound)
-    state.extend(placed)
-    return state.cost()
+    rows = [price.lookup(nid, nodes[nid], dur) for nid, (_start, dur) in schedule.items()]
+    busy: dict[int, list[int]] = {}  # per unit kind, the ops running per step
+    for (nid, (start, _dur)), row in zip(schedule.items(), rows):
+        end = start + row[0]
+        _check_span(nid, start, end, latency_bound)
+        _occupy(busy.setdefault(row[1], []), start, end)
+    peaks = {kind: max(steps) for kind, steps in busy.items()}
+    area: dict[str, int] = {}
+    for kind, peak in peaks.items():
+        op = price.kinds[kind][0]
+        area[op] = area.get(op, 0) + peak
+    switching: list[float] = []
+    if price.switching:
+        by_type: dict[str, list[tuple[int, int, int, float]]] = {}
+        for (nid, (start, dur)), row in zip(schedule.items(), rows):
+            by_type.setdefault(nodes[nid], []).append((start, nid, dur, row[4]))
+        for op, ops in by_type.items():
+            switching += type_switch_charges(ops, area[op])
+    return price.cost(
+        area, map(itemgetter(2), rows), map(itemgetter(3), rows), peaks.items(), switching,
+        latency_bound,
+    )
 
 
 def _no_worse(a: tuple, b: tuple) -> bool:

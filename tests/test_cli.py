@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -661,6 +664,49 @@ def test_sweep_negative_k_max_is_input_error(tmp_path, capsys):
     assert rc == 2
     assert "--k-max" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_sweep_refuses_k(tmp_path, capsys):
+    # sweep runs 0 .. --k-max and has no --k, which must not pass for an
+    # abbreviation of --k-max either.
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "sweep", "--dfg", str(bench_path("diffeq")), "--lib", LIB,
+            "--k", "5", "--k-max", "1", "--out", str(out),
+        ])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_still_writes_the_outputs(tmp_path, unbuffered):
+    # As in ``dvsched sweep ... | head -1``, stdout is a pipe whose reader
+    # has gone: the run still writes the CSV and the sidecar those flags
+    # give, says nothing on stderr and exits as it would have, whether
+    # stdout is buffered or not.
+    flags = ["sweep", "--dfg", str(bench_path("diffeq")), "--lib", LIB, "--k-max", "1"]
+    want = tmp_path / "want.csv"
+    assert main([*flags, "--out", str(want)]) == 0
+    out, side = tmp_path / "s.csv", tmp_path / "s.json"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)  # no reader: every write to stdout fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dvsched", *flags, "--out", str(out), "--json", str(side)],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert out.read_bytes() == want.read_bytes()
+    assert [run["k"] for run in json.loads(side.read_text())["runs"]] == [0, 1]
 
 
 @pytest.mark.parametrize(

@@ -160,7 +160,7 @@ def _outcome(fn, *args):
 def test_matches_prefix_recosting_greedy(seed, k, gapped):
     """The running cost state makes every decision the whole-prefix
     ``schedule_cost`` greedy makes, including under caps just below the
-    greedy schedule's own cost, where candidates are rejected and undone."""
+    greedy schedule's own cost, where candidates are probed and rejected."""
     rng = random.Random(seed)
     text = support.gapped_library_text if gapped else support.random_library_text
     g, lib = support.random_instance(rng, state_cap=10**6, library_text=text)
@@ -206,16 +206,16 @@ def test_budgeted_pass_never_recosts_the_prefix(default_lib, monkeypatch):
 
 
 def test_fgdvs_pricing_binds_from_the_candidates_place(default_lib, diffeq, monkeypatch):
-    # Each pricing binds a type again only from the first op whose binding
-    # can have changed, so a budgeted pass binds a number of ops linear in
-    # the graph size, where binding every placed op of the type per
-    # candidate would be quadratic.
-    binds = []  # (ops of the type, first op bound, binding kept) per _bind call
+    # Each probe binds the candidate's type again only from the first op
+    # whose binding can change, so a budgeted pass binds a number of ops
+    # linear in the graph size, where binding every placed op of the type
+    # per candidate would be quadratic.
+    binds = []  # (ops bound, binding kept) per _bind call
     real_bind = power._bind
 
-    def counting(ops, units, pool, first, seats):
-        binds.append((len(ops), first, seats is not None))
-        return real_bind(ops, units, pool, first, seats)
+    def counting(ops, units, pool, seats):
+        binds.append((len(ops), seats is not None))
+        return real_bind(ops, units, pool, seats)
 
     monkeypatch.setattr(power, "_bind", counting)
     n = 1500
@@ -223,15 +223,15 @@ def test_fgdvs_pricing_binds_from_the_candidates_place(default_lib, diffeq, monk
     t = compute_timing(g, 0)
     asap = {v: (t.asap[v], 1) for v in g.nodes}
     cap = schedule_cost(g, asap, default_lib, ArchMode.FGDVS, t.latency_bound).power
-    assert binds == [(n, 0, False)]  # one pass, nothing kept
+    assert binds == [(n, False)]  # one pass, nothing kept
     binds.clear()
     assert list_schedule(g, t, default_lib, ArchMode.FGDVS, Budget(power_cap=cap)) == asap
     assert len(binds) == n
-    assert sum(size - first for size, first, _kept in binds) < 2 * n
+    assert sum(size for size, _kept in binds) < 2 * n
 
     # diffeq under caps just below its greedy cost: candidates are rejected
-    # and taken back.  A candidate of a type whose binding is kept, at an
-    # unchanged unit count, is bound from its own place in (start, id) order.
+    # and never placed.  A candidate probed at its type's unit count is
+    # bound from its own place in (start, id) order.
     runs = []
     for k in (1, 2):
         t = compute_timing(diffeq, k)
@@ -239,30 +239,32 @@ def test_fgdvs_pricing_binds_from_the_candidates_place(default_lib, diffeq, monk
             greedy = list_schedule(diffeq, t, default_lib, ArchMode.FGDVS, priority=pr)
             cost = schedule_cost(diffeq, greedy, default_lib, ArchMode.FGDVS, t.latency_bound)
             runs += [(t, pr, Budget(power_cap=cost.power * f)) for f in (0.99, 0.9, 0.8)]
-    priced = []  # [place, binding kept, binds, rejected] per pricing
-    real_cost, real_undo = power.CostState.cost, power.CostState.undo
+    probed = []  # [ops after the place, same unit count, binds, rejected] per probe
+    real_probe, real_place = power.CostState.probe, power.CostState.place
 
-    def cost(state):
-        nid, op, start = state._last[:3]
-        binder = state.binders[op]
-        kept = binder.seats is not None and binder.units == state.area[op]
+    def probe(state, nid, op, start, row):
+        binder = state.binders.get(op)
         binds.clear()
-        out = real_cost(state)
-        priced.append([bisect_left(binder.ops, (start, nid)), kept, list(binds), False])
+        out = real_probe(state, nid, op, start, row)
+        after = same = None
+        if binder is not None:
+            after = len(binder.ops) - bisect_left(binder.ops, (start, nid))
+            same = out.area_by_type[op] == binder.units
+        probed.append([after, same, list(binds), True])
         return out
 
-    def undo(state):
-        priced[-1][3] = True
-        real_undo(state)
+    def place(state):
+        probed[-1][3] = False
+        real_place(state)
 
-    monkeypatch.setattr(power.CostState, "cost", cost)
-    monkeypatch.setattr(power.CostState, "undo", undo)
+    monkeypatch.setattr(power.CostState, "probe", probe)
+    monkeypatch.setattr(power.CostState, "place", place)
     for t, pr, budget in runs:
         list_schedule(diffeq, t, default_lib, ArchMode.FGDVS, budget, pr)
-    rejected = [p for p in priced if p[3] and p[1]]
+    rejected = [p for p in probed if p[3] and p[1]]
     assert rejected
-    for place, _kept, calls, _rejected in rejected:
-        assert [(first, kept) for _size, first, kept in calls] == [(place, True)]
+    for after, _same, calls, _rejected in rejected:
+        assert calls == [(after + 1, True)]  # the candidate and the ops after it
 
 
 @settings(max_examples=12, deadline=None)
@@ -270,7 +272,7 @@ def test_fgdvs_pricing_binds_from_the_candidates_place(default_lib, diffeq, monk
 def test_matches_prefix_recosting_greedy_on_layered_graphs(seed, k, gapped):
     """As above on layered graphs of 60 to 120 nodes, deep enough that a
     candidate lands before ops of its type placed earlier, a type's unit
-    count grows, and a candidate is taken back after a resumed binding."""
+    count grows, and a candidate is rejected after a resumed binding."""
     rng = random.Random(seed)
     types = rng.sample(support.OP_POOL, rng.randint(1, 3))
     text = support.gapped_library_text if gapped else support.random_library_text

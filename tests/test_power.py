@@ -361,30 +361,41 @@ def test_cost_state_contract():
     # duration wins over a node that completes after the bound
     with pytest.raises(LibraryError, match="7 cycles"):
         schedule_cost(g, {1: (3, 2), 2: (1, 7)}, TINY, ArchMode.FGDVS, 3)
-    # a priced CostTuple is the caller's: later adds and undos leave it be,
-    # and an undo of a type's last op takes the type out of the area
     price = TINY.pricing(ArchMode.FGDVS)
+    one, two = price.lookup(1, "mul", 1), price.lookup(2, "mul", 2)
     state = CostState(price, 3)
-    state.add(1, "mul", 1, price.lookup(1, "mul", 1))
-    cost = state.cost()
+    # a probe refuses what schedule_cost refuses
+    with pytest.raises(ValueError, match="before step 1"):
+        state.probe(1, "mul", 0, one)
+    with pytest.raises(ValueError, match="after the latency bound 3"):
+        state.probe(2, "mul", 3, two)
+    # a probed CostTuple is the caller's: later probes and places leave it
+    # be, and what the caller does to it leaves the state be
+    cost = state.probe(1, "mul", 1, one)
     before = repr(cost)
-    state.undo()
-    assert state.cost().area_by_type == {}
-    state.add(1, "mul", 1, price.lookup(1, "mul", 1))
-    state.add(2, "mul", 1, price.lookup(2, "mul", 2))
-    assert state.cost().area_by_type == {"mul": 2}
-    state.undo()
-    assert repr(state.cost()) == repr(cost) == before
+    state.place()
+    cost.area_by_type["mul"] = 7
+    assert state.probe(2, "mul", 1, two).area_by_type == {"mul": 2}
+    # a probe that is not placed changes nothing
+    assert state.probe(2, "mul", 2, two).area_by_type == {"mul": 1}
+    state.place()
+    cost.area_by_type["mul"] = 1
+    assert repr(cost) == before
+    g = parse_dfg("name three\nnode 1 mul\nnode 2 mul\nnode 3 mul\n")
+    assert repr(state.probe(3, "mul", 1, one)) == repr(
+        schedule_cost(g, {1: (1, 1), 2: (2, 2), 3: (1, 1)}, TINY, ArchMode.FGDVS, 3)
+    )
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_cost_state_prices_like_a_fresh_schedule_cost(seed):
-    # Nodes added at random starts and durations, some taken back, with
-    # costs after most steps: each cost has the repr of schedule_cost on the
-    # nodes then placed.  Random starts put ops before ops of their type
-    # placed earlier, and undos of ops that grew a type's unit count shrink
-    # it again, so every way a kept binding is resumed gets priced.
+    # Candidates probed at random starts and durations, some of them
+    # placed: each probe has the repr of schedule_cost on the nodes placed
+    # and the candidate.  Random starts put candidates before ops of their
+    # type placed earlier and grow a type's unit count, so every way a
+    # kept binding is resumed gets priced, and a probe that is not placed
+    # leaves a binding that the next probe resumes.
     rng = random.Random(seed)
     types = rng.sample(support.OP_POOL, rng.randint(1, 2))
     text = support.gapped_library_text if seed % 2 else support.random_library_text
@@ -405,39 +416,35 @@ def test_cost_state_prices_like_a_fresh_schedule_cost(seed):
             if dur > bound:
                 break
             start = rng.randint(1, bound - dur + 1)
-            state.add(v, g.nodes[v], start, rows[dur])
-            placed[v] = (start, dur)
-            # A second cost folds this node's row, so that the undo below
-            # takes back a folded row.
-            for _ in range(rng.choice((0, 1, 1, 2))):
-                assert repr(state.cost()) == repr(schedule_cost(g, placed, lib, mode, bound))
-            if rng.random() < 0.4:
-                state.undo()
-                del placed[v]
-                if rng.random() < 0.5:
-                    assert repr(state.cost()) == repr(schedule_cost(g, placed, lib, mode, bound))
-        assert repr(state.cost()) == repr(schedule_cost(g, placed, lib, mode, bound))
+            cost = state.probe(v, g.nodes[v], start, rows[dur])
+            fresh = schedule_cost(g, {**placed, v: (start, dur)}, lib, mode, bound)
+            assert repr(cost) == repr(fresh)
+            if rng.random() < 0.6:
+                state.place()
+                placed[v] = (start, dur)
 
 
 @pytest.mark.parametrize("mode", list(ArchMode))
 def test_cost_state_overflow_stays_a_library_error(mode):
-    # A cost that overflows raises LibraryError and leaves nothing behind:
-    # after the undo the state prices its nodes as before, and adding the
+    # A probe that overflows raises LibraryError and changes nothing: the
+    # state still prices a probe as schedule_cost does, and probing the
     # node again raises LibraryError again, never OverflowError or fsum's
     # ValueError on infinite partials.
-    lib = load_resource_library("type mul\nlevel vdd=1.0 cycles=1 pdyn=6e307 plk=0 psw=1e308\n")
+    lib = load_resource_library(
+        "type mul\nlevel vdd=1.0 cycles=1 pdyn=6e307 plk=0 psw=1e308\n"
+        "type add\nlevel vdd=1.0 cycles=1 pdyn=1 plk=1 psw=1\n"
+    )
+    g = parse_dfg("name four\nnode 1 mul\nnode 2 mul\nnode 3 mul\nnode 4 add\n")
     price = lib.pricing(mode)
-    row = price.lookup(1, "mul", 1)
     state = CostState(price, 8)
     for v in range(1, 3):
-        state.add(v, "mul", v, row)
-        finite = state.cost()
+        state.probe(v, "mul", v, price.lookup(v, "mul", 1))
+        state.place()
+    finite = schedule_cost(g, {1: (1, 1), 2: (2, 1), 4: (4, 1)}, lib, mode, 8)
     for _ in range(2):
-        state.add(3, "mul", 3, row)
         with pytest.raises(LibraryError, match="too large"):
-            state.cost()
-        state.undo()
-        assert repr(state.cost()) == repr(finite)
+            state.probe(3, "mul", 3, price.lookup(3, "mul", 1))
+        assert repr(state.probe(4, "add", 4, price.lookup(4, "add", 1))) == repr(finite)
 
 
 @settings(max_examples=60, deadline=None)
