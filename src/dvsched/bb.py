@@ -21,11 +21,11 @@ solution ends the loop.
 
 Each expansion probes its move before placing it.  A move carries its
 steps and its path-bound term from its table, and the kind's new peak is
-read off the usage histogram over those steps, so the area-cap, power-cap
-and dominance prunes, and the closing bind below, decide without writing
-anything.  Only a move that survives them writes the histogram, and only
-it is undone.  The dominance test is one index into a staircase: the
-least power of any front member of at most each area
+read off the kind's usage buffer over those steps, so the area-cap,
+power-cap and dominance prunes, and the closing bind below, decide
+without writing anything.  Only a move that survives them writes the
+buffer, and only it is undone.  The dominance test is one index into a
+staircase: the least power of any front member of at most each area
 (``power.staircase``), rebuilt whenever a member joins the front.  Some
 member is no worse than the bound exactly when the staircase at the
 bound's area is within the power tolerance of the bound's power, so the
@@ -34,17 +34,19 @@ prune decides what ``ParetoSet.covers`` would.
 Under single-vdd and multi-vdd a prefix is also cut when an earlier
 prefix of the same length reached the same state at no higher power (a
 Kohler-Steiglitz dominance relation): the same area, the same end times
-for the placed nodes that still constrain unplaced ones, and the same unit
-counts and usage histograms wherever unplaced nodes can still add to
+for the placed nodes that still constrain unplaced ones, and the same
+unit counts and usage per step wherever unplaced nodes can still add to
 them.  Equal states have the same completions at the same added cost, so
-the cut changes no result.  The walk keeps the histograms as bytes (or
-as wider unsigned items when a count may reach 256), so a state's key is
-its packed header joined with raw slices of them; states are held in two
-generations of STATE_GENERATION entries each.  A position whose lookups do
-not pay for themselves stops being looked up (see GATE_WARMUP); a skipped
-lookup cuts nothing, so this too changes no result.  FGDVS is left out: its
-switching charge depends on how every op binds, which the state does not
-capture.
+the cut changes no result.  Under the cut the walk keeps one usage
+buffer per op type, as bytes (or as wider unsigned items when a count
+may reach 256), with the type's unit kinds interleaved step by step, so
+a state's key is its packed header joined with one raw slice per type
+that still has unplaced nodes.  The lookup is inlined in the walk;
+states are held in two generations of STATE_GENERATION entries each.  A
+position whose lookups do not pay for themselves stops being looked up
+(see GATE_WARMUP); a skipped lookup cuts nothing, so this too changes no
+result.  FGDVS is left out: its switching charge depends on how every op
+binds, which the state does not capture.
 
 The prefix power counts dynamic and leakage and, under FGDVS, the switch
 charges of each closed type: a type whose last position is placed.  Its
@@ -118,11 +120,14 @@ MAX_WINDOW_STEPS = 800_000
 # lookups at a position, from GATE_WARMUP on, the position keeps being
 # looked up only while its lookups save at least LOOKUP_COST expansions
 # each: hits / lookups * (expansions walked per miss) >= LOOKUP_COST.  A
-# lookup (packing the key and probing the table) costs about as much wall
-# time as 2 expansions of the unkeyed walk.  Gated-off positions neither
-# look up nor store states, so they also stop pushing useful states out of
-# the table.  The decisions depend only on counts, so every counter stays
-# deterministic.
+# lookup (building the key and probing the table) costs about as much wall
+# time as 1.3 to 2.4 expansions of the unkeyed walk, measured on the
+# multi-vdd cells of fir, lattice, ewf and volterra by replaying each search
+# with its recorded lookup answers, so that the walk is the same but no key
+# is built.  LOOKUP_COST stays 2, which every pinned counter assumes.
+# Gated-off positions neither look up nor store states, so they also stop
+# pushing useful states out of the table.  The decisions depend only on
+# counts, so every counter stays deterministic.
 GATE_WARMUP = 256
 LOOKUP_COST = 2
 _NEVER = float("inf")  # the power of a state not yet seen
@@ -152,6 +157,13 @@ def check_window_steps(timing: TimingInfo) -> None:
             f"slack {timing.slack} gives the search {steps} window steps to table, "
             f"more than its limit of {MAX_WINDOW_STEPS}"
         )
+
+
+def _getter(idx: list[int]) -> Callable[[list], tuple]:
+    """itemgetter(*idx), but always returning a tuple, also of one item or none."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return (lambda xs, j=idx[0]: (xs[j],)) if idx else (lambda xs: ())
 
 
 def _path_bound(
@@ -254,7 +266,7 @@ def _run(
 
     # Per position, the node's usable levels as the price table's rows by
     # duration.  Unit kinds are the table's too: each has its own usage
-    # histogram and pays its always-on leakage rate for the whole horizon
+    # count per step and pays its always-on leakage rate for the whole horizon
     # per allocated unit.  forced_leak is the least a type's first unit can
     # leak.
     usable = {op: price.rows(op) for op in type_names}
@@ -302,7 +314,7 @@ def _run(
     closer: list[Callable[[list], tuple] | None] = [None] * n
     if price.switching:
         for at in type_positions:
-            closer[at[-1]] = itemgetter(*at) if len(at) > 1 else lambda b, j=at[0]: (b[j],)
+            closer[at[-1]] = _getter(at)
 
     # Every type whose first node sits at position i or later has no unit
     # yet (each placed node holds a unit for at least one step) and will
@@ -313,6 +325,25 @@ def _run(
         for i in range(n + 1)
     ]
 
+    # Usage buffers.  Kind k's usage at step s sits at hist[k][s * stride[k]
+    # + offset[k]], and a move's steps are those indices, so the probe,
+    # place and undo loops are the same for every layout.  Without the state
+    # cut each kind has a plain list of its own (stride 1), which the walk
+    # updates fastest; under it, each type's kinds share one buffer,
+    # interleaved step-major (below).  ends[i] is where placed node i stops
+    # constraining its children: its end, clipped up to child_asap[i], the
+    # least asap among them.  A child's earliest start is the largest of
+    # its own asap and its parents' ends either way.
+    child_asap = [bound + 1] * n
+    for i in range(n):
+        for u in parents[i]:
+            if asap_a[i] < child_asap[u]:
+                child_asap[u] = asap_a[i]
+    ends = [0] * n
+    type_kinds = [sorted({row[1] for row in usable[op].values()}) for op in type_names]
+    stride = [1] * n_kinds
+    offset = [0] * n_kinds
+    hist: list = [None] * n_kinds
     # State cut (single-vdd and multi-vdd): once positions 0..p-1 are
     # placed, what any completion adds to area and power, and which
     # completions the area caps allow, depend only on the prefix's state.
@@ -320,58 +351,61 @@ def _run(
     # cut: each of its leaves costs no less than the same completion of the
     # earlier prefix, already offered to the front.  The state is the
     # position, the area, and what these tables pick out per position p:
-    #   frontier[p]: each placed node with an unplaced child, paired with
-    #     the least asap among its children (an end at or below that
-    #     constrains none of them);
-    #   live_kinds[p]: the kinds of every type with unplaced nodes, whose
-    #     unit counts the walk still grows and the caps still check;
-    #   windows[p]: (kind, lo, hi) for each kind some unplaced node can use,
-    #     where hist[kind][lo:hi] spans every step such a node can occupy.
-    # Values are packed with the narrowest code that holds max(n, bound + 1),
-    # the largest value in a state: a key is packing[p]'s bytes of the
-    # position, the area, the frontier's ends and the live unit counts, then
-    # the raw bytes of each window's histogram slice.  Each kind's histogram
-    # is a bytearray, or for a wider code a memoryview of one cast to that
-    # code.  Every piece's length is fixed by p, so equal keys mean equal
-    # states.  Without the state cut the histograms are plain lists, which
-    # the walk updates faster.
+    #   frontier: each placed node with an unplaced child, by its ends entry
+    #     (an end at or below child_asap constrains none of the children);
+    #   live kinds: the kinds of every type with unplaced nodes, whose unit
+    #     counts the walk still grows and the caps still check;
+    #   live types: the usage buffer of every type with unplaced nodes, from
+    #     the least asap of those nodes to the latency bound.
+    # A type with L kinds keeps their usage in one buffer, step-major: kind
+    # number `level` of the type at step s sits at s * L + level.  So one
+    # slice, buf[lo * L:(bound + 1) * L], holds every kind of the type over
+    # every step an unplaced node of the type can occupy.  Values are packed
+    # with the narrowest code that holds max(n, bound + 1), the largest value
+    # in a state: a key is the packed position, area, frontier ends and live
+    # unit counts, then the raw bytes of each live type's slice.  A buffer is
+    # a bytearray, or for a wider code a memoryview of one cast to that code.
+    # Every piece's length is fixed by p, so equal keys mean equal states.
+    # keying[p] holds the header's Struct.pack, the getters of its ends and
+    # unit counts, and the live types' buffers and slices.
     state_cut = cfg.prune_dominance and not price.switching
-    frontier: list[tuple[tuple[int, int], ...]] = []
-    live_kinds: list[tuple[int, ...]] = [()] * (n + 1)
-    windows: list[tuple[tuple[int, int, int], ...]] = [()] * (n + 1)
-    packing: list[Struct] = []
+    keying: list[tuple] = []
     if state_cut:
+        code = next(c for c in "BHILQ" if max(n, bound + 1) < 1 << 8 * calcsize(c))
+        type_bufs = []
+        for kinds in type_kinds:
+            zeros = bytes(calcsize(code) * (bound + 2) * len(kinds))
+            buf = bytearray(zeros) if code == "B" else memoryview(bytearray(zeros)).cast(code)
+            type_bufs.append(buf)
+            for level, kind in enumerate(kinds):
+                hist[kind], stride[kind], offset[kind] = buf, len(kinds), level
         last_child = list(range(n))
-        child_asap = [bound + 1] * n
         for i in range(n):
             for u in parents[i]:
                 last_child[u] = i  # positions ascend: the last write is the last child
-                child_asap[u] = min(child_asap[u], asap_a[i])
+        type_lo = [bound + 1] * len(type_names)  # per type, the least asap at p or later
+        lows = [()] * (n + 1)
+        for p in range(n - 1, -1, -1):
+            type_lo[pos_type[p]] = min(type_lo[pos_type[p]], asap_a[p])
+            lows[p] = tuple(type_lo)
         open_nodes: list[int] = []
         for p in range(n + 1):
             if p:
                 open_nodes.append(p - 1)
             open_nodes = [u for u in open_nodes if last_child[u] >= p]
-            frontier.append(tuple((u, child_asap[u]) for u in open_nodes))
-        win_lo = [bound + 1] * n_kinds
-        win_hi = [0] * n_kinds
-        live: set[int] = set()
-        for p in range(n - 1, -1, -1):
-            live.update(row[1] for row in rows_at[p].values())
-            for _d, kind, _e in options[p]:
-                win_lo[kind] = min(win_lo[kind], asap_a[p])
-                win_hi[kind] = max(win_hi[kind], alap_a[p] + 1)
-            live_kinds[p] = tuple(sorted(live))
-            windows[p] = tuple(
-                (k, win_lo[k], win_hi[k]) for k in live_kinds[p] if win_lo[k] < win_hi[k]
-            )
-        code = next(c for c in "BHILQ" if max(n, bound + 1) < 1 << 8 * calcsize(c))
-        packing = [Struct(f"{2 + len(frontier[p]) + len(live_kinds[p])}{code}") for p in range(n + 1)]
-        zeros = bytes(calcsize(code) * (bound + 2))
-        hist = [bytearray(zeros) if code == "B" else memoryview(bytearray(zeros)).cast(code)
-                for _ in range(n_kinds)]
+            live = [ti for ti, lo in enumerate(lows[p]) if lo <= bound]
+            live_kinds = sorted(kind for ti in live for kind in type_kinds[ti])
+            packing = Struct(f"{2 + len(open_nodes) + len(live_kinds)}{code}")
+            keying.append((
+                packing.pack, _getter(open_nodes), _getter(live_kinds),
+                tuple(type_bufs[ti] for ti in live),
+                tuple(slice(lows[p][ti] * len(type_kinds[ti]), (bound + 1) * len(type_kinds[ti]))
+                      for ti in live),
+            ))
     else:
-        hist = [[0] * (bound + 2) for _ in range(n_kinds)]
+        for kinds in type_kinds:
+            for kind in kinds:
+                hist[kind] = [0] * (bound + 2)
     generation = STATE_GENERATION
     cur_max = [0] * n_kinds
     type_area = [0] * len(type_names)
@@ -416,6 +450,7 @@ def _run(
             want = schedule_cost(g, sched, lib, cfg.mode, bound)
             if cost != want:
                 raise AssertionError(f"leaf cost {cost} != schedule_cost {want} for {sched}")
+            recount()
         if not cfg.budget.allows(cost.area_by_type, cost.power):
             return False
         if first is None:
@@ -430,33 +465,21 @@ def _run(
     def schedule() -> Schedule:
         return {order[j]: (starts[j], durs[j]) for j in range(n)}
 
-    def seen_state(p: int, area: int, power: float) -> bool:
-        """Whether an earlier prefix reached this prefix's state (positions
-        0..p-1 placed, with this area and power) at no higher power.  Either
-        way the state goes into the newer generation with the lower of the
-        two powers."""
-        nonlocal states, older
-        vals = [p, area]
-        for u, floor in frontier[p]:
-            end = starts[u] + durs[u]
-            vals.append(end if end > floor else floor)
-        vals.extend(map(cur_max.__getitem__, live_kinds[p]))
-        parts = [packing[p].pack(*vals)]
-        for k, lo, hi in windows[p]:
-            parts.append(hist[k][lo:hi])
-        key = b"".join(parts)
-        seen = states.get(key)
-        if seen is None:
-            seen = older.get(key, _NEVER)
-            if len(states) >= generation:
-                older, states = states, {}
-            states[key] = seen if seen <= power else power
-        elif seen > power:
-            states[key] = power
-        # Exact compare: every completion of this prefix costs no less than
-        # the same completion of the earlier one, whose leaves were all
-        # offered to the front.
-        return seen <= power
+    def recount() -> None:
+        """Raise AssertionError unless the usage buffers and each kind's
+        peak are what the placed schedule gives when counted afresh."""
+        fresh = {id(buf): [0] * len(buf) for buf in hist if buf is not None}
+        for j in range(n):
+            kind = rows_at[j][durs[j]][1]
+            s, o = stride[kind], offset[kind]
+            for step in range(starts[j] * s + o, (starts[j] + durs[j]) * s, s):
+                fresh[id(hist[kind])][step] += 1
+        for kind, buf in enumerate(hist):
+            want = [] if buf is None else fresh[id(buf)]
+            peak = max(want[offset[kind]::stride[kind]], default=0)
+            if (buf is not None and list(buf) != want) or cur_max[kind] != peak:
+                raise AssertionError(f"kind {kind}'s usage buffer or its peak {cur_max[kind]} "
+                                     f"is not what the schedule gives (peak {peak})")
 
     # Per position: [lookups, hits (each a state prune), expansions walked
     # under misses, the lookup count of the next gate test]; gate[p] is
@@ -468,22 +491,33 @@ def _run(
     # ascending, then fastest first, each ending by last_end.  Built the
     # first time they are reached.  A parent ends no later than
     # its child's alap, so every earliest start has a slot.  A move is
-    # (start, duration, kind, energy, binder entry, steps, rest): the entry
-    # is the op's (start, node id, cycles, psw) where switching is charged,
-    # steps the range of steps the op occupies, and rest what positions
-    # i+1.. must still pay in energy once the move ends (bound_at).
+    # (start, duration, kind, energy, binder entry, steps, rest, end): the
+    # entry is the op's (start, node id, cycles, psw) where switching is
+    # charged, steps the indices of its kind's buffer that the op occupies,
+    # rest what positions i+1.. must still pay in energy once the move ends
+    # (bound_at), and end its ends entry.
     tables: list[list[tuple[tuple, ...] | None]] = [
         [None] * (alap_a[i] - asap_a[i] + 1) for i in range(n)
     ]
 
+    # Per type, its rows as the move tables read them: (duration, kind,
+    # energy, switch charge, stride, offset).
+    levels_of = [
+        tuple((d, kind, dyn + leak, psw, stride[kind], offset[kind])
+              for d, kind, dyn, leak, psw in usable[op].values())
+        for op in type_names
+    ]
+    switching = price.switching
+
     def moves(i: int, earliest: int) -> tuple[tuple, ...]:
-        last, levels = last_end[i], rows_at[i].values()
-        rest, base, nid = bound_at[i], asap_a[i], order[i]
+        last, levels = last_end[i], levels_of[pos_type[i]]
+        rest, base, nid, floor = bound_at[i], asap_a[i], order[i], child_asap[i]
         table = tuple(
-            (t, d, kind, dyn + leak, (t, nid, d, psw) if price.switching else None,
-             range(t, t + d), rest[t + d - base])
+            (t, d, kind, energy, (t, nid, d, psw) if switching else None,
+             range(t * s + o, (t + d) * s, s), rest[t + d - base],
+             t + d if t + d > floor else floor)
             for t in range(earliest, last)
-            for d, kind, dyn, leak, psw in levels
+            for d, kind, energy, psw, s, o in levels
             if d <= last - t
         )
         tables[i][earliest - asap_a[i]] = table
@@ -531,10 +565,10 @@ def _run(
         ti = pos_type[i]
         cap = caps[ti] if caps is not None else n  # no type's area exceeds n
         closes = closer[i]
-        for t, dur, kind, energy, entry, steps, rest in todo[i]:
+        for t, dur, kind, energy, entry, steps, rest, end in todo[i]:
             expanded += 1
             # Probe: the kind's peak usage with the move placed, read off
-            # its histogram without writing it.
+            # its usage buffer without writing it.
             row = hist[kind]
             old_max = cur_max[kind]
             peak = old_max
@@ -588,7 +622,7 @@ def _run(
                     continue
                 type_charges[ti] = charges
             # Place: only a move that survives to the state lookup or the
-            # descent writes the histogram.
+            # descent writes the buffer.
             for step in steps:
                 row[step] += 1
             old_area, old_power = cur_area, cur_power
@@ -599,6 +633,7 @@ def _run(
             cur_area, cur_power = area, power
             starts[i] = t
             durs[i] = dur
+            ends[i] = end
             binder[i] = entry
             pruned = False
             tally = gate[p]
@@ -612,7 +647,23 @@ def _run(
                     if looked == test_at:
                         tally[3] = 2 * test_at
                     tally[0] = looked + 1
-                    if seen_state(p, area, power):
+                    pack, ends_of, units_of, bufs, cuts = keying[p]
+                    key = b"".join([pack(p, area, *ends_of(ends), *units_of(cur_max)),
+                                    *map(getitem, bufs, cuts)])
+                    # Either way the state goes into the newer generation
+                    # with the lower of the two powers.
+                    seen = states.get(key)
+                    if seen is None:
+                        seen = older.get(key, _NEVER)
+                        if len(states) >= generation:
+                            older, states = states, {}
+                        states[key] = seen if seen <= power else power
+                    elif seen > power:
+                        states[key] = power
+                    # Exact compare: every completion of this prefix costs no
+                    # less than the same completion of the earlier one, whose
+                    # leaves were all offered to the front.
+                    if seen <= power:
                         tally[1] = hit + 1  # a state prune
                         pruned = True
                     else:
@@ -624,9 +675,8 @@ def _run(
                         cur_sw += sum(charges)
                     earliest = asap_a[p]
                     for u in parents[p]:
-                        end = starts[u] + durs[u]
-                        if end > earliest:
-                            earliest = end
+                        if ends[u] > earliest:
+                            earliest = ends[u]
                     table = tables[p][earliest - asap_a[p]]
                     if table is None:
                         table = moves(p, earliest)

@@ -444,8 +444,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return _emit(args, data, table)
 
 
-def _parse_schedule_file(path: str) -> list[Schedule]:
-    """Read one schedule, or every schedule in a sidecar JSON."""
+def _parse_schedule_file(path: str) -> list[tuple[Schedule, int | None, ArchMode | None]]:
+    """Read one schedule, or every schedule in a sidecar JSON, each with the
+    slack and the mode its sidecar records for it (None where none is)."""
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
@@ -455,20 +456,32 @@ def _parse_schedule_file(path: str) -> list[Schedule]:
         raise ValueError(f"{path}: expected a JSON object")
     # Every sidecar names its command; a budget one may hold no schedule.
     if not data.keys() & {"command", "front", "runs", "schedule"}:
-        return [_coerce_schedule(data)]
+        return [(_coerce_schedule(data), None, None)]
+    k, mode = data.get("k"), data.get("mode")
     runs = data.get("runs") or []
-    if isinstance(runs, dict):  # compare keys its runs by mode; sweep lists them
-        runs = list(runs.values())
     try:
-        fronts = [data.get("front", [])] + [run.get("front", []) for run in runs]
-        schedules = [_coerce_schedule(item["schedule"]) for front in fronts for item in front]
+        # compare keys its runs by mode; sweep lists them, each with its k.
+        if isinstance(runs, dict):
+            runs = [(run, k, key) for key, run in runs.items()]
+        else:
+            runs = [(run, run.get("k", k), mode) for run in runs]
+        fronts = [(data.get("front", []), k, mode)]
+        fronts += [(run.get("front", []), run_k, run_mode) for run, run_k, run_mode in runs]
+        schedules = [
+            (_coerce_schedule(item["schedule"]), front_k, front_mode)
+            for front, front_k, front_mode in fronts
+            for item in front
+        ]
     except (AttributeError, TypeError, KeyError):
         raise ValueError(f"{path}: runs and fronts must hold objects with a schedule") from None
     if "schedule" in data:
-        schedules.append(_coerce_schedule(data["schedule"]))
+        schedules.append((_coerce_schedule(data["schedule"]), k, mode))
     if not schedules:
         raise ValueError(f"{path}: no schedules found")
-    return schedules
+    for _schedule, k, _mode in schedules:
+        if k is not None and (type(k) is not int or k < 0):
+            raise ValueError(f"{path}: slack {k!r} is not a non-negative integer")
+    return [(s, k, None if mode is None else ArchMode(mode)) for s, k, mode in schedules]
 
 
 def _coerce_schedule(raw: object) -> Schedule:
@@ -487,19 +500,27 @@ def _coerce_schedule(raw: object) -> Schedule:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     g, lib, (timing,) = _load(args, [args.k])
-    mode = ArchMode(args.mode)
     schedules = _parse_schedule_file(args.schedule)
 
-    allowed = lib.pricing(mode).durations()
+    # Each schedule is checked and priced at the slack and mode its sidecar
+    # records; the flags stand in only where the file records none.
+    timings = {args.k: timing}
     failures = 0
-    for idx, schedule in enumerate(schedules):
+    for idx, (schedule, k, mode) in enumerate(schedules):
         label = f"schedule {idx + 1}/{len(schedules)}"
-        violation = validate_schedule(g, timing, schedule, allowed)
+        recorded = k is not None or mode is not None
+        k = args.k if k is None else k
+        mode = ArchMode(args.mode) if mode is None else mode
+        if recorded:
+            label += f" (k={k}, {mode.value})"
+        if k not in timings:
+            timings[k] = compute_timing(g, k)
+        violation = validate_schedule(g, timings[k], schedule, lib.pricing(mode).durations())
         if violation is not None:
             failures += 1
             _say(f"{label}: INVALID [{violation.rule}] {violation.message}")
             continue
-        cost = schedule_cost(g, schedule, lib, mode, timing.latency_bound)
+        cost = schedule_cost(g, schedule, lib, mode, timings[k].latency_bound)
         _say(
             f"{label}: ok area={cost.area_total} power={_fmt(cost.power)} "
             f"(dyn={_fmt(cost.dynamic)} leak={_fmt(cost.leakage)} "

@@ -326,6 +326,8 @@ def pinned(test_id, name, k, mode, counters, budget=Budget(), first=None):
                (17_001, 9_517, 3_989, 0), Budget(area_caps={"mul": 2, "add": 1, "comp": 1})),
         pinned("fir-1-ArchMode.MULTI_VDD-19466", "fir", 1, ArchMode.MULTI_VDD,
                (275, 87, 25, 23), Budget(power_cap=230), first=(131, 56, 0, 8)),
+        pinned("ewf-1-ArchMode.MULTI_VDD-8237", "ewf", 1, ArchMode.MULTI_VDD,
+               (8_237, 0, 3_478, 1_432)),
     ],
 )
 def test_expansion_counts_pinned(default_lib, name, k, mode, budget, counters, first_counters):
@@ -527,12 +529,8 @@ def test_state_cut_runs_only_where_it_is_exact(default_lib):
         assert bb_pareto(diamonds, compute_timing(diamonds, 2), default_lib, cfg).state_prunes == 0
 
 
-def test_state_cut_with_wide_keys(default_lib):
-    # 100 diamonds in series: 400 nodes and a latency bound of 301, so the
-    # state cut's values take two bytes each and its histograms are cast
-    # to "H", not bytearrays.  The cut stays exact, and its counters are
-    # pinned.
-    m = 100
+def _diamond_chain(m: int):
+    """m diamonds in series: 4 * m nodes, mul-add-add-mul each."""
     text = "name diamond-chain\n" + "".join(
         f"node {4 * j + 1} mul\nnode {4 * j + 2} add\nnode {4 * j + 3} add\nnode {4 * j + 4} mul\n"
         for j in range(m)
@@ -543,7 +541,15 @@ def test_state_cut_with_wide_keys(default_lib):
         for j in range(m)
     )
     text += "".join(f"edge {4 * j + 4} -> {4 * j + 5}\n" for j in range(m - 1))
-    g = parse_dfg(text)
+    return parse_dfg(text)
+
+
+def test_state_cut_with_wide_keys(default_lib):
+    # 100 diamonds in series: 400 nodes and a latency bound of 301, so the
+    # state cut's values take two bytes each and its usage buffers are cast
+    # to "H", not bytearrays.  The cut stays exact, and its counters are
+    # pinned.
+    g = _diamond_chain(100)
     t = compute_timing(g, 1)
     assert max(len(g.order), t.latency_bound + 1) >= 256
     cut = bb_pareto(g, t, default_lib, SearchConfig(mode=ArchMode.MULTI_VDD))
@@ -551,6 +557,24 @@ def test_state_cut_with_wide_keys(default_lib):
     assert cut.completed and plain.completed
     assert cut.front.sorted_entries() == plain.front.sorted_entries()
     assert counts(cut) + (cut.state_lookups, cut.leaves) == (3_607, 0, 187, 973, 3_420, 1)
+
+
+def test_debug_check_recounts_the_usage_buffers(state_cut_corpus, default_lib):
+    # Under debug_check each leaf also rebuilds the usage buffers (one per
+    # type, kinds interleaved, under the state cut; one list per kind
+    # without it) and every kind's peak from the schedule, and raises on a
+    # mismatch; so these searches pass only if the walk's incremental
+    # writes and undos leave exactly what a fresh count gives.
+    cases = state_cut_corpus[::6]
+    g = _diamond_chain(100)
+    cases.append((g, compute_timing(g, 1), default_lib, SearchConfig(mode=ArchMode.MULTI_VDD)))
+    leaves = 0
+    for g, t, lib, cfg in cases:
+        for cut in (True, False):
+            rep = bb_pareto(g, t, lib, replace(cfg, debug_check=True, prune_dominance=cut))
+            assert rep.completed
+            leaves += rep.leaves
+    assert leaves > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -540,23 +540,71 @@ def test_validate_sidecar_roundtrip(tmp_path, capsys):
 
 
 def test_validate_single_vdd_flags_each_slower_level(tmp_path, capsys):
-    # A compare sidecar holds the fronts of all three modes; under
-    # single-vdd only its level-0 schedules are valid.
+    # A compare sidecar holds the fronts of all three modes, and validate
+    # prices each at the mode it was found in.  Taken out of it as plain
+    # schedule files, checked under --mode single-vdd, only its level-0
+    # schedules are valid.
     side = tmp_path / "runs.json"
     graph = str(bench_path("diffeq"))
     assert main(["compare", "--dfg", graph, "--lib", LIB, "--k", "1", "--json", str(side)]) == 0
     capsys.readouterr()
-    rc = main([
-        "validate", "--dfg", graph, "--lib", LIB, "--k", "1",
-        "--mode", "single-vdd", "--schedule", str(side),
-    ])
-    assert rc == 2
+    rc = main(["validate", "--dfg", graph, "--lib", LIB, "--k", "1",
+               "--mode", "single-vdd", "--schedule", str(side)])
+    assert rc == 0
     lines = capsys.readouterr().out.splitlines()
-    verdicts = [line.split(": ", 1)[1] for line in lines[:-1]]
+    assert len(lines) == 10 and all(": ok " in line for line in lines)
+    runs = json.loads(side.read_text())["runs"]
+    verdicts = []
+    for member in (m for run in runs.values() for m in run["front"]):
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps(member["schedule"]))
+        rc = main(["validate", "--dfg", graph, "--lib", LIB, "--k", "1",
+                   "--mode", "single-vdd", "--schedule", str(plain)])
+        out = capsys.readouterr().out.splitlines()
+        verdicts.append(out[0].split(": ", 1)[1])
+        assert rc == (0 if verdicts[-1].startswith("ok ") else 2)
     assert len(verdicts) == 10
     assert sum(v.startswith("ok ") for v in verdicts) == 1
     assert all(v.startswith(("ok ", "INVALID [duration] ")) for v in verdicts)
-    assert lines[-1] == "9/10 schedules failed validation"
+
+
+def test_validate_prices_at_the_sidecars_slack_and_mode(tmp_path, capsys):
+    # A sweep sidecar records its mode at the top and each run's k; the
+    # flags, which differ from both, price nothing in it.
+    side = tmp_path / "sweep.json"
+    graph = str(bench_path("diffeq"))
+    assert main(["sweep", "--dfg", graph, "--lib", LIB, "--mode", "multi-vdd",
+                 "--k-max", "1", "--json", str(side)]) == 0
+    capsys.readouterr()
+    rc = main(["validate", "--dfg", graph, "--lib", LIB, "--k", "1", "--mode", "fgdvs",
+               "--schedule", str(side)])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = [
+        (run["k"], m["area"], m["power"])
+        for run in json.loads(side.read_text())["runs"] for m in run["front"]
+    ]
+    assert len(lines) == len(want) and any(k == 0 for k, _a, _p in want)
+    for idx, (line, (k, area, power)) in enumerate(zip(lines, want)):
+        assert line.startswith(
+            f"schedule {idx + 1}/{len(want)} (k={k}, multi-vdd): ok area={area} power={power:.6f} "
+        )
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("k", "1", "slack '1' is not a non-negative integer"),
+    ("k", -1, "slack -1 is not a non-negative integer"),
+    ("mode", "dual-vdd", "'dual-vdd' is not a valid ArchMode"),
+])
+def test_validate_refuses_a_sidecars_bad_slack_or_mode(tmp_path, capsys, field, value, message):
+    side = tmp_path / "run.json"
+    graph = str(bench_path("diffeq"))
+    assert main(["pareto", "--dfg", graph, "--lib", LIB, "--k", "1", "--json", str(side)]) == 0
+    capsys.readouterr()
+    side.write_text(json.dumps({**json.loads(side.read_text()), field: value}))
+    rc = main(["validate", "--dfg", graph, "--lib", LIB, "--schedule", str(side)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
 
 
 def test_validate_flags_broken_schedule(tmp_path, capsys):

@@ -4,24 +4,33 @@
     python3 tools/grid.py --src src --cells dct:1:multi-vdd --limit 0
 
 Each run is one ``bb_pareto`` call in a fresh interpreter that imports
-``dvsched`` from ``--src`` (so two checkouts can be compared), and reports
-the search counters, the search's own elapsed seconds, the interpreter's
-peak RSS, the front's cost points and ``kept``, a digest of each front
-point's exact cost and kept schedule (what the CSV rows carry).  A cell is
-repeated ``--repeats`` times unless its first run hits the time limit; the
-JSON printed holds each cell's median seconds and the counters of its
-first run (they repeat exactly).
+``dvsched`` from ``--src``, and reports the search counters, the search's
+own elapsed seconds, the interpreter's peak RSS, the front's cost points
+and ``kept``, a digest of each front point's exact cost and kept schedule
+(what the CSV rows carry).  A cell is repeated ``--repeats`` times unless
+its first run hits the time limit; the JSON printed holds each cell's
+median seconds and the counters of its first run (they repeat exactly).
 ``--limit 0`` runs without a time limit.
+
+    python3 tools/grid.py --src ../parent/src --src src --limit 3 --repeats 5
+
+``--src`` may be given more than once to compare source trees.  Each
+repeat of a cell then runs every tree once, alternating the trees so
+that they share the box's drift (in reverse order on odd repeats), and
+the JSON printed is ``{"trees": [...], "grids": [a grid per tree],
+"ratios": {cell: [median seconds of each tree / the first tree's]}}``;
+stderr gives each cell's ratios as it finishes.  Each later tree's grid
+is compared with the first's as ``--against`` does below.
 
     python3 tools/grid.py --src src --limit 10 --repeats 1 --against parent.json > grid.json
 
-``--against FILE`` compares the run with a grid JSON saved earlier: on
-stderr it names every cell that completed in both runs with a different
-``front`` or ``kept``, then every cell completed in both whose search
-counters (``COUNTERS``) differ, with both values, and gives the
-expansions and summed seconds of each run over the cells completed in
-both.  The exit status is 1 when a front
-or a kept schedule differs; counters alone do not change it, since a
+``--against FILE`` compares the run (its last tree) with a one-tree grid
+JSON saved earlier: on stderr it names every cell that completed in both
+runs with a different ``front`` or ``kept``, then every cell completed
+in both whose search counters (``COUNTERS``) differ, with both values,
+and gives the expansions and summed seconds of each run over the cells
+completed in both.  The exit status is 1 when a front or a kept schedule
+differs in any comparison; counters alone do not change it, since a
 change may mean to move them.
 """
 
@@ -73,7 +82,8 @@ def run_cell(src: str, graph: str, k: int, mode: str, limit: float) -> dict:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", required=True, help="directory holding the dvsched package")
+    ap.add_argument("--src", action="append", required=True,
+                    help="a directory holding the dvsched package; repeat to compare trees")
     ap.add_argument("--limit", type=float, default=10.0, help="seconds per run; 0 = none")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--cells", nargs="*", help="graph:k:mode; default 7 graphs x k 0..2 x "
@@ -83,20 +93,39 @@ def main() -> int:
     against = json.loads(args.against.read_text()) if args.against else None
     cells = args.cells or [f"{g}:{k}:{m}" for g in GRAPHS for k in range(3)
                            for m in ("single-vdd", "multi-vdd", "fgdvs")]
-    src = str(Path(args.src).resolve())
-    result = {}
+    srcs = [str(Path(s).resolve()) for s in args.src]
+    grids: list[dict] = [{} for _ in srcs]
+    ratios = {}
     for cell in cells:
         graph, k, mode = cell.split(":")
-        runs = [run_cell(src, graph, int(k), mode, args.limit)]
-        while runs[0]["completed"] and len(runs) < args.repeats:
-            runs.append(run_cell(src, graph, int(k), mode, args.limit))
-        result[cell] = {**runs[0], "seconds": statistics.median(r["seconds"] for r in runs),
-                        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
-                        "runs": len(runs)}
-        print(cell, {key: result[cell][key] for key in ("completed", "expanded", "seconds")},
-              file=sys.stderr, flush=True)
-    print(json.dumps(result, indent=1))
-    return compare(against, result) if against is not None else 0
+        runs: list[list[dict]] = [[] for _ in srcs]
+        while True:
+            # Odd repeats run the trees in reverse, so that no tree always
+            # runs first.
+            turn = list(zip(srcs, runs))
+            for src, results in turn[::-1] if len(runs[0]) % 2 else turn:
+                results.append(run_cell(src, graph, int(k), mode, args.limit))
+            if len(runs[0]) >= args.repeats or not all(r[0]["completed"] for r in runs):
+                break
+        for grid, results in zip(grids, runs):
+            grid[cell] = {**results[0], "seconds": statistics.median(r["seconds"] for r in results),
+                          "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results),
+                          "runs": len(results)}
+        seconds = [grid[cell]["seconds"] for grid in grids]
+        ratios[cell] = [round(s / seconds[0], 3) for s in seconds]
+        print(cell, {key: grids[0][cell][key] for key in ("completed", "expanded", "seconds")},
+              *([f"ratios {ratios[cell]}"] if len(srcs) > 1 else []), file=sys.stderr, flush=True)
+    if len(srcs) == 1:
+        print(json.dumps(grids[0], indent=1))
+    else:
+        print(json.dumps({"trees": srcs, "grids": grids, "ratios": ratios}, indent=1))
+    status = 0
+    for j in range(1, len(srcs)):
+        print(f"tree {j + 1} ({srcs[j]}) against tree 1 ({srcs[0]}):", file=sys.stderr)
+        status |= compare(grids[0], grids[j])
+    if against is not None:
+        status |= compare(against, grids[-1])
+    return status
 
 
 def compare(old: dict, new: dict) -> int:
