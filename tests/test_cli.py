@@ -541,9 +541,9 @@ def test_validate_sidecar_roundtrip(tmp_path, capsys):
 
 def test_validate_single_vdd_flags_each_slower_level(tmp_path, capsys):
     # A compare sidecar holds the fronts of all three modes, and validate
-    # prices each at the mode it was found in.  Taken out of it as plain
-    # schedule files, checked under --mode single-vdd, only its level-0
-    # schedules are valid.
+    # prices each at the mode it was found in.  The same schedules in a file
+    # that records no mode are checked under --mode single-vdd, where only
+    # the level-0 one is valid.
     side = tmp_path / "runs.json"
     graph = str(bench_path("diffeq"))
     assert main(["compare", "--dfg", graph, "--lib", LIB, "--k", "1", "--json", str(side)]) == 0
@@ -554,18 +554,19 @@ def test_validate_single_vdd_flags_each_slower_level(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 10 and all(": ok " in line for line in lines)
     runs = json.loads(side.read_text())["runs"]
-    verdicts = []
-    for member in (m for run in runs.values() for m in run["front"]):
-        plain = tmp_path / "plain.json"
-        plain.write_text(json.dumps(member["schedule"]))
-        rc = main(["validate", "--dfg", graph, "--lib", LIB, "--k", "1",
-                   "--mode", "single-vdd", "--schedule", str(plain)])
-        out = capsys.readouterr().out.splitlines()
-        verdicts.append(out[0].split(": ", 1)[1])
-        assert rc == (0 if verdicts[-1].startswith("ok ") else 2)
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps({
+        "front": [{"schedule": m["schedule"]} for run in runs.values() for m in run["front"]],
+    }))
+    rc = main(["validate", "--dfg", graph, "--lib", LIB, "--k", "1",
+               "--mode", "single-vdd", "--schedule", str(plain)])
+    assert rc == 2
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = [line.split(": ", 1)[1] for line in lines[:-1]]
     assert len(verdicts) == 10
     assert sum(v.startswith("ok ") for v in verdicts) == 1
     assert all(v.startswith(("ok ", "INVALID [duration] ")) for v in verdicts)
+    assert lines[-1] == "9/10 schedules failed validation"
 
 
 def test_validate_prices_at_the_sidecars_slack_and_mode(tmp_path, capsys):
