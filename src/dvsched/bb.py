@@ -21,7 +21,7 @@ solution ends the loop.
 
 Each expansion probes its move before placing it.  A move carries its
 steps and its path-bound term from its table, and the kind's new peak is
-read off the kind's usage buffer over those steps, so the area-cap,
+read off its type's usage buffer over those steps, so the area-cap,
 power-cap and dominance prunes, and the closing bind below, decide
 without writing anything.  Only a move that survives them writes the
 buffer, and only it is undone.  The dominance test is one index into a
@@ -37,16 +37,16 @@ Kohler-Steiglitz dominance relation): the same area, the same end times
 for the placed nodes that still constrain unplaced ones, and the same
 unit counts and usage per step wherever unplaced nodes can still add to
 them.  Equal states have the same completions at the same added cost, so
-the cut changes no result.  Under the cut the walk keeps one usage
-buffer per op type, as bytes (or as wider unsigned items when a count
-may reach 256), with the type's unit kinds interleaved step by step, so
-a state's key is its packed header joined with one raw slice per type
-that still has unplaced nodes.  The lookup is inlined in the walk;
-states are held in two generations of STATE_GENERATION entries each.  A
-position whose lookups do not pay for themselves stops being looked up
-(see GATE_WARMUP); a skipped lookup cuts nothing, so this too changes no
-result.  FGDVS is left out: its switching charge depends on how every op
-binds, which the state does not capture.
+the cut changes no result.  The walk keeps one usage buffer per op
+type, with the type's unit kinds interleaved step by step; under the cut
+the buffers are bytes (or wider unsigned items when a count may reach
+256), so a state's key is its packed header joined with one raw slice
+per type that still has unplaced nodes.  The lookup is inlined in the
+walk; states are held in two generations of STATE_GENERATION entries
+each.  A position whose lookups do not pay for themselves stops being
+looked up (see GATE_WARMUP); a skipped lookup cuts nothing, so this too
+changes no result.  FGDVS is left out: its switching charge depends on
+how every op binds, which the state does not capture.
 
 The prefix power counts dynamic and leakage and, under FGDVS, the switch
 charges of each closed type: a type whose last position is placed.  Its
@@ -168,20 +168,22 @@ def _getter(idx: list[int]) -> Callable[[list], tuple]:
 
 def _path_bound(
     parents: list[tuple[int, ...]],
-    options: list[tuple[tuple[int, int, float], ...]],
+    levels: list[tuple[tuple[int, int, float, float, int], ...]],
     asap: list[int],
     alap: list[int],
     bound: int,
-) -> tuple[list[list[float]], list[int]] | None:
+) -> tuple[list[list[float]], list[int], float] | None:
     """The suffix bound on energy, per position and end step.
 
     Positions are in topological order, ``parents[i]`` lists i's parents
-    and ``options[i]`` its (duration, kind, energy) levels that fit its
-    window.  Returns ``(bound_at, last_end)``: placing i to end at step
-    ``end`` leaves positions i+1.. to pay at least
-    ``bound_at[i][end - asap[i]]`` energy, and ``last_end[i]`` is the
-    latest end that leaves them a completion.  Returns None when no
-    schedule exists.
+    and ``levels[i]`` its type's (duration, kind, energy, switch charge,
+    level) rows, fastest first; a level longer than i's window fits no
+    start.  Returns ``(bound_at, last_end, least)``: placing i to end at
+    step ``end`` leaves positions i+1.. to pay at least
+    ``bound_at[i][end - asap[i]]`` energy, ``last_end[i]`` is the latest
+    end that leaves them a completion, and every schedule pays at least
+    ``least``, which is not finite when that overflows a float.  Returns
+    None when some path's ops cannot fit its span, so no schedule exists.
 
     The positions are split into disjoint paths along edges, each op
     followed by its child with the longest path below, longest paths
@@ -213,34 +215,38 @@ def _path_bound(
     # j and the rest of its path when j starts at t, and rest[end - asap_j]
     # that of the rest alone when j ends at `end`: each op ends by its alap,
     # the next op on the path starts at max(end, its asap), and inf means
-    # nothing fits.  Position n stands for the empty rest of a path, which
-    # costs 0.0 and starts at bound + 1, after every end.  `suffix` sums
-    # f[head][0] over the paths' unplaced suffixes once 0..j are placed.
+    # nothing fits, or its energy overflows a float.  Position n stands for
+    # the empty rest of a path, which costs 0.0 and starts at bound + 1,
+    # after every end.  `suffix` sums f[head][0] over the paths' unplaced
+    # suffixes once 0..j are placed.  What fits does not depend on energy:
+    # latest[j] is the latest start of j that leaves the rest of its path
+    # room at its fastest levels, so j's latest end is the earlier of its
+    # alap + 1 and the next op's latest start.  Where no sum overflows,
+    # rest is finite at exactly the ends up to last_end.
     path_asap = asap + [bound + 1]
     f: list[list[float]] = [[]] * n + [[0.0]]
     bound_at: list[list[float]] = [[]] * n
     last_end = [0] * n
+    latest = [0] * n + [bound + 1]
     suffix = 0.0
     for j in range(n - 1, -1, -1):
         lo, w = asap[j], alap[j] - asap[j] + 1
+        last_end[j] = min(lo + w, latest[nxt[j]])
+        latest[j] = last_end[j] - levels[j][0][0]
+        if latest[j] < lo:
+            return None
         fq, aq = f[nxt[j]], path_asap[nxt[j]]
         rest = [fq[end - aq] if end > aq else fq[0] for end in range(lo, lo + w + 1)]
         row = [inf] * w
-        for d, _k, e in options[j]:
+        for d, _kind, e, _psw, _level in levels[j]:
             for x in range(w - d + 1):
                 cost = e + rest[x + d]
                 if cost < row[x]:
                     row[x] = cost
-        if row[0] == inf:
-            return None
         f[j] = row
         bound_at[j] = [suffix + (r - fq[0]) for r in rest]
         suffix = suffix + row[0] - fq[0]
-        last = w  # rest[0] is fq[0], which is finite
-        while rest[last] == inf:
-            last -= 1
-        last_end[j] = lo + last
-    return bound_at, last_end
+    return bound_at, last_end, suffix
 
 
 def _run(
@@ -275,30 +281,34 @@ def _run(
     n_kinds = len(unit_leak)
     forced_leak = [min(unit_leak[row[1]] for row in usable[op].values()) for op in type_names]
 
-    # Per node: (duration, kind, dyn+leak prefix energy) fastest-first, for
-    # the levels whose duration fits the node's window; no placement can
-    # use a longer one.  The per-op leakage is 0.0 where units leak
-    # always-on, which is tracked per allocated unit instead.
-    options: list[tuple[tuple[int, int, float], ...]] = []
-    for i, rows in enumerate(rows_at):
-        window = alap_a[i] - asap_a[i] + 1
-        options.append(tuple(
-            (cycles, kind, dyn + leak)
-            for cycles, kind, dyn, leak, _psw in rows.values()
-            if cycles <= window
-        ))
+    # Per type, its unit kinds, and its rows as the bound and the move
+    # tables read them, fastest first: (duration, kind, dyn+leak prefix
+    # energy, switch charge, level), where level numbers the kind among the
+    # type's.  The per-op leakage is 0.0 where units leak always-on, which
+    # is tracked per allocated unit instead.
+    type_kinds = [sorted({row[1] for row in usable[op].values()}) for op in type_names]
+    levels_of = [
+        tuple((d, kind, dyn + leak, psw, kinds.index(kind))
+              for d, kind, dyn, leak, psw in usable[op].values())
+        for op, kinds in zip(type_names, type_kinds)
+    ]
+    pos_type = [type_idx[g.nodes[v]] for v in order]
+    levels_at = [levels_of[ti] for ti in pos_type]  # per position, its type's rows
 
-    caps: list[int] | None = None
-    if cfg.budget.area_caps is not None:
-        caps = [cfg.budget.area_caps.get(op, n) for op in type_names]
-    path_tables = _path_bound(parents, options, asap_a, alap_a, bound)
-    if path_tables is None or (caps is not None and 0 in caps):
+    # Per type, its area cap; n, which no type's area exceeds, where uncapped.
+    caps = [(cfg.budget.area_caps or {}).get(op, n) for op in type_names]
+    path_tables = _path_bound(parents, levels_at, asap_a, alap_a, bound)
+    if path_tables is None or 0 in caps:
         # Some path's ops cannot fit its span (as when a node's window is
         # shorter than its fastest level), or some type in the graph may
         # have no unit: no schedule exists, so the search is complete
         # before it starts.
         return SearchReport(ParetoSet(), None, 0, 0, 0, 0, 0, 0, 0, completed=True, elapsed=0.0)
-    bound_at, last_end = path_tables
+    bound_at, last_end, least = path_tables
+    if not least + sum(forced_leak) < inf:
+        # Schedules fit, but none has a finite power.  Pricing.cost is the
+        # one judge of that: costing these terms raises its overflow error.
+        price.cost({}, (least, *forced_leak), (), (), (), bound)
     power_cap = cfg.budget.power_cap
     cap_line = inf if power_cap is None else power_cap + POWER_EPS
 
@@ -310,7 +320,6 @@ def _run(
     type_positions = [
         [i for i, v in enumerate(order) if g.nodes[v] == op] for op in type_names
     ]
-    pos_type = [type_idx[g.nodes[v]] for v in order]
     closer: list[Callable[[list], tuple] | None] = [None] * n
     if price.switching:
         for at in type_positions:
@@ -325,25 +334,20 @@ def _run(
         for i in range(n + 1)
     ]
 
-    # Usage buffers.  Kind k's usage at step s sits at hist[k][s * stride[k]
-    # + offset[k]], and a move's steps are those indices, so the probe,
-    # place and undo loops are the same for every layout.  Without the state
-    # cut each kind has a plain list of its own (stride 1), which the walk
-    # updates fastest; under it, each type's kinds share one buffer,
-    # interleaved step-major (below).  ends[i] is where placed node i stops
-    # constraining its children: its end, clipped up to child_asap[i], the
-    # least asap among them.  A child's earliest start is the largest of
-    # its own asap and its parents' ends either way.
+    # Usage buffers: one per op type, on every path.  A type with L kinds
+    # keeps their usage step-major: kind number `level` of the type at step s
+    # sits at s * L + level, and a move's steps are those indices of its
+    # type's buffer.  A buffer is a plain list, which the walk updates
+    # fastest, but bytes under the state cut (below).  ends[i] is where
+    # placed node i stops constraining its children: its end, clipped up to
+    # child_asap[i], the least asap among them.  A child's earliest start is
+    # the largest of its own asap and its parents' ends either way.
     child_asap = [bound + 1] * n
     for i in range(n):
         for u in parents[i]:
             if asap_a[i] < child_asap[u]:
                 child_asap[u] = asap_a[i]
     ends = [0] * n
-    type_kinds = [sorted({row[1] for row in usable[op].values()}) for op in type_names]
-    stride = [1] * n_kinds
-    offset = [0] * n_kinds
-    hist: list = [None] * n_kinds
     # State cut (single-vdd and multi-vdd): once positions 0..p-1 are
     # placed, what any completion adds to area and power, and which
     # completions the area caps allow, depend only on the prefix's state.
@@ -357,28 +361,27 @@ def _run(
     #     counts the walk still grows and the caps still check;
     #   live types: the usage buffer of every type with unplaced nodes, from
     #     the least asap of those nodes to the latency bound.
-    # A type with L kinds keeps their usage in one buffer, step-major: kind
-    # number `level` of the type at step s sits at s * L + level.  So one
-    # slice, buf[lo * L:(bound + 1) * L], holds every kind of the type over
-    # every step an unplaced node of the type can occupy.  Values are packed
-    # with the narrowest code that holds max(n, bound + 1), the largest value
-    # in a state: a key is the packed position, area, frontier ends and live
-    # unit counts, then the raw bytes of each live type's slice.  A buffer is
-    # a bytearray, or for a wider code a memoryview of one cast to that code.
-    # Every piece's length is fixed by p, so equal keys mean equal states.
-    # keying[p] holds the header's Struct.pack, the getters of its ends and
-    # unit counts, and the live types' buffers and slices.
+    # One slice of a type's buffer, buf[lo * L:(bound + 1) * L], holds every
+    # kind of the type over every step an unplaced node of the type can
+    # occupy.  Values are packed with the narrowest code that holds max(n,
+    # bound + 1), the largest value in a state: a key is the packed
+    # position, area, frontier ends and live unit counts, then the raw bytes
+    # of each live type's slice.  A buffer is then a bytearray, or for a
+    # wider code a memoryview of one cast to that code.  Every piece's
+    # length is fixed by p, so equal keys mean equal states.  keying[p]
+    # holds the header's Struct.pack, the getters of its ends and unit
+    # counts, and the live types' buffers and slices.
     state_cut = cfg.prune_dominance and not price.switching
+    code = next(c for c in "BHILQ" if max(n, bound + 1) < 1 << 8 * calcsize(c))
+    sizes = [(bound + 2) * len(kinds) for kinds in type_kinds]
+    if not state_cut:
+        type_bufs: list = [[0] * size for size in sizes]
+    elif code == "B":
+        type_bufs = [bytearray(size) for size in sizes]
+    else:
+        type_bufs = [memoryview(bytearray(calcsize(code) * size)).cast(code) for size in sizes]
     keying: list[tuple] = []
     if state_cut:
-        code = next(c for c in "BHILQ" if max(n, bound + 1) < 1 << 8 * calcsize(c))
-        type_bufs = []
-        for kinds in type_kinds:
-            zeros = bytes(calcsize(code) * (bound + 2) * len(kinds))
-            buf = bytearray(zeros) if code == "B" else memoryview(bytearray(zeros)).cast(code)
-            type_bufs.append(buf)
-            for level, kind in enumerate(kinds):
-                hist[kind], stride[kind], offset[kind] = buf, len(kinds), level
         last_child = list(range(n))
         for i in range(n):
             for u in parents[i]:
@@ -402,10 +405,6 @@ def _run(
                 tuple(slice(lows[p][ti] * len(type_kinds[ti]), (bound + 1) * len(type_kinds[ti]))
                       for ti in live),
             ))
-    else:
-        for kinds in type_kinds:
-            for kind in kinds:
-                hist[kind] = [0] * (bound + 2)
     generation = STATE_GENERATION
     cur_max = [0] * n_kinds
     type_area = [0] * len(type_names)
@@ -468,18 +467,16 @@ def _run(
     def recount() -> None:
         """Raise AssertionError unless the usage buffers and each kind's
         peak are what the placed schedule gives when counted afresh."""
-        fresh = {id(buf): [0] * len(buf) for buf in hist if buf is not None}
-        for j in range(n):
-            kind = rows_at[j][durs[j]][1]
-            s, o = stride[kind], offset[kind]
-            for step in range(starts[j] * s + o, (starts[j] + durs[j]) * s, s):
-                fresh[id(hist[kind])][step] += 1
-        for kind, buf in enumerate(hist):
-            want = [] if buf is None else fresh[id(buf)]
-            peak = max(want[offset[kind]::stride[kind]], default=0)
-            if (buf is not None and list(buf) != want) or cur_max[kind] != peak:
-                raise AssertionError(f"kind {kind}'s usage buffer or its peak {cur_max[kind]} "
-                                     f"is not what the schedule gives (peak {peak})")
+        fresh = [[0] * len(buf) for buf in type_bufs]
+        for j, ti in enumerate(pos_type):
+            width, level = len(type_kinds[ti]), type_kinds[ti].index(rows_at[j][durs[j]][1])
+            for step in range(starts[j] * width + level, (starts[j] + durs[j]) * width, width):
+                fresh[ti][step] += 1
+        for ti, kinds in enumerate(type_kinds):
+            peaks = [max(fresh[ti][level::len(kinds)]) for level in range(len(kinds))]
+            if list(type_bufs[ti]) != fresh[ti] or [cur_max[kind] for kind in kinds] != peaks:
+                raise AssertionError(f"type {type_names[ti]}'s usage buffer or its kinds' peaks "
+                                     f"are not what the schedule gives (peaks {peaks})")
 
     # Per position: [lookups, hits (each a state prune), expansions walked
     # under misses, the lookup count of the next gate test]; gate[p] is
@@ -493,31 +490,24 @@ def _run(
     # its child's alap, so every earliest start has a slot.  A move is
     # (start, duration, kind, energy, binder entry, steps, rest, end): the
     # entry is the op's (start, node id, cycles, psw) where switching is
-    # charged, steps the indices of its kind's buffer that the op occupies,
+    # charged, steps the indices of its type's buffer that the op occupies,
     # rest what positions i+1.. must still pay in energy once the move ends
     # (bound_at), and end its ends entry.
     tables: list[list[tuple[tuple, ...] | None]] = [
         [None] * (alap_a[i] - asap_a[i] + 1) for i in range(n)
     ]
 
-    # Per type, its rows as the move tables read them: (duration, kind,
-    # energy, switch charge, stride, offset).
-    levels_of = [
-        tuple((d, kind, dyn + leak, psw, stride[kind], offset[kind])
-              for d, kind, dyn, leak, psw in usable[op].values())
-        for op in type_names
-    ]
     switching = price.switching
 
     def moves(i: int, earliest: int) -> tuple[tuple, ...]:
-        last, levels = last_end[i], levels_of[pos_type[i]]
+        last, levels, width = last_end[i], levels_at[i], len(type_kinds[pos_type[i]])
         rest, base, nid, floor = bound_at[i], asap_a[i], order[i], child_asap[i]
         table = tuple(
             (t, d, kind, energy, (t, nid, d, psw) if switching else None,
-             range(t * s + o, (t + d) * s, s), rest[t + d - base],
+             range(t * width + level, (t + d) * width, width), rest[t + d - base],
              t + d if t + d > floor else floor)
             for t in range(earliest, last)
-            for d, kind, energy, psw, s, o in levels
+            for d, kind, energy, psw, level in levels
             if d <= last - t
         )
         tables[i][earliest - asap_a[i]] = table
@@ -563,13 +553,12 @@ def _run(
         leaks = unstarted[p]
         n_leaks = len(leaks)
         ti = pos_type[i]
-        cap = caps[ti] if caps is not None else n  # no type's area exceeds n
+        cap, row = caps[ti], type_bufs[ti]
         closes = closer[i]
         for t, dur, kind, energy, entry, steps, rest, end in todo[i]:
             expanded += 1
             # Probe: the kind's peak usage with the move placed, read off
-            # its usage buffer without writing it.
-            row = hist[kind]
+            # its type's usage buffer without writing it.
             old_max = cur_max[kind]
             peak = old_max
             for step in steps:
@@ -704,7 +693,7 @@ def _run(
                 tally[2] += expanded - entered[i]
             i -= 1
             kind, steps, old_max, old_type_area, cur_area, cur_power, cur_sw = undo[i]
-            row = hist[kind]
+            row = type_bufs[pos_type[i]]
             for step in steps:
                 row[step] -= 1
             cur_max[kind] = old_max

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .dfg import Dfg, Schedule, TimingInfo, topological_order
+from .dfg import Dfg, Schedule, TimingInfo
 from .power import ArchMode, Budget, CostState, ResourceLibrary
 # Not called here.  bench/layers.py wraps ``listsched.schedule_cost`` by
 # name to count the list scheduler's costings, so the name stays.
@@ -47,7 +47,7 @@ def list_schedule(
     price = lib.pricing(mode)
     prefix = None if budget.unconstrained else CostState(price, timing.latency_bound)
     schedule: Schedule = {}
-    for v in topological_order(g):
+    for v in g.order:
         earliest = timing.asap[v]
         for u in g.preds[v]:
             su, du = schedule[u]

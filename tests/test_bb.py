@@ -561,8 +561,8 @@ def test_state_cut_with_wide_keys(default_lib):
 
 def test_debug_check_recounts_the_usage_buffers(state_cut_corpus, default_lib):
     # Under debug_check each leaf also rebuilds the usage buffers (one per
-    # type, kinds interleaved, under the state cut; one list per kind
-    # without it) and every kind's peak from the schedule, and raises on a
+    # type, kinds interleaved: bytes under the state cut, a list without
+    # it) and every kind's peak from the schedule, and raises on a
     # mismatch; so these searches pass only if the walk's incremental
     # writes and undos leave exactly what a fresh count gives.
     cases = state_cut_corpus[::6]

@@ -678,6 +678,38 @@ def test_non_finite_library_is_input_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+# Every diffeq schedule runs more than one add, at 1e308 each, so every
+# schedule's power overflows a float, though each level's values are finite.
+HUGE_ADD_LIB = """\
+type add
+level vdd=1.0 cycles=1 pdyn=1e308 plk=1 psw=0
+type mul
+level vdd=1.0 cycles=1 pdyn=1 plk=1 psw=0
+type comp
+level vdd=1.0 cycles=1 pdyn=1 plk=1 psw=0
+"""
+
+
+@pytest.mark.parametrize("flags", [
+    ["pareto", "--mode", "single-vdd"],
+    ["pareto", "--mode", "multi-vdd", "--k", "1"],
+    ["pareto", "--mode", "fgdvs", "--k", "1"],
+    ["compare"],
+    ["sweep", "--k-max", "1"],
+    ["budget", "--algorithm", "bb"],
+    ["budget", "--algorithm", "bb-first"],
+])
+def test_search_power_too_large_for_a_float_is_input_error(tmp_path, capsys, flags):
+    # The search's bound overflows too: the searches exit 2 as oracle and
+    # the list scheduler do, not 0 with no schedule.
+    lib = tmp_path / "huge.lib"
+    lib.write_text(HUGE_ADD_LIB, encoding="utf-8")
+    rc = main([flags[0], "--dfg", str(bench_path("diffeq")), "--lib", str(lib), *flags[1:],
+               *(["--out", str(tmp_path / "out.csv")] if flags[0] != "budget" else [])])
+    assert rc == 2
+    assert "schedule power is too large for a float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

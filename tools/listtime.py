@@ -13,9 +13,12 @@ cost), each in all three modes, priced with ``benchmarks/default.lib``.
 
 Each repeat runs every case once per source tree, in a fresh interpreter
 that imports ``dvsched`` from that ``--src``, alternating the trees so that
-they share the box's drift.  The JSON printed holds, per case and tree, the
-median and the runs in seconds and a digest of the answer, and
-``same_answers``: whether every tree gave every case the same answer.
+they share the box's drift (in reverse order on odd repeats, so that no
+tree always runs first).  The JSON printed holds ``trees``, the ``--src``
+directories in the order given, and per case a list with one entry per
+tree in that order: the median and the runs in seconds and a digest of
+the answer; and ``same_answers``: whether every tree gave every case the
+same answer.  A tree may be given twice, to see the noise of the box.
 """
 
 from __future__ import annotations
@@ -97,22 +100,23 @@ def main() -> int:
     ap.add_argument("--graphs", type=int, default=3, help="number of layered graphs")
     args = ap.parse_args()
     srcs = [str(Path(s).resolve()) for s in args.src]
-    runs: dict[str, dict[str, list]] = {s: {} for s in srcs}
-    for _ in range(args.repeats):
-        for src in srcs:
+    runs: list[dict[str, list]] = [{} for _ in srcs]
+    for repeat in range(args.repeats):
+        turn = list(zip(srcs, runs))
+        for src, tree_runs in turn[::-1] if repeat % 2 else turn:
             for name, result in run_once(src, args.seed, args.graphs).items():
-                runs[src].setdefault(name, []).append(result)
-    cases: dict[str, dict] = {}
-    for src in srcs:
-        for name, results in runs[src].items():
+                tree_runs.setdefault(name, []).append(result)
+    cases: dict[str, list] = {}
+    for tree_runs in runs:
+        for name, results in tree_runs.items():
             seconds = [round(s, 5) for s, _answer in results]
-            cases.setdefault(name, {})[src] = {
+            cases.setdefault(name, []).append({
                 "median_s": round(statistics.median(seconds), 5),
                 "runs": seconds,
                 "answer": results[0][1],
-            }
-    same = all(len({r["answer"] for r in case.values()}) == 1 for case in cases.values())
-    print(json.dumps({"seed": args.seed, "repeats": args.repeats, "cases": cases,
+            })
+    same = all(len({r["answer"] for r in case}) == 1 for case in cases.values())
+    print(json.dumps({"seed": args.seed, "repeats": args.repeats, "trees": srcs, "cases": cases,
                       "same_answers": same}, indent=1))
     return 0
 
