@@ -31,22 +31,25 @@ member is no worse than the bound exactly when the staircase at the
 bound's area is within the power tolerance of the bound's power, so the
 prune decides what ``ParetoSet.covers`` would.
 
-Under single-vdd and multi-vdd a prefix is also cut when an earlier
-prefix of the same length reached the same state at no higher power (a
-Kohler-Steiglitz dominance relation): the same area, the same end times
-for the placed nodes that still constrain unplaced ones, and the same
-unit counts and usage per step wherever unplaced nodes can still add to
-them.  Equal states have the same completions at the same added cost, so
-the cut changes no result.  The walk keeps one usage buffer per op
-type, with the type's unit kinds interleaved step by step; under the cut
-the buffers are bytes (or wider unsigned items when a count may reach
+A prefix is also cut when an earlier prefix of the same length reached
+the same state at no higher power (a Kohler-Steiglitz dominance
+relation): the same area, the same end times for the placed nodes that
+still constrain unplaced ones, and the same unit counts and usage per
+step wherever unplaced nodes can still add to them.  Equal states have
+the same completions at the same added cost, so the cut changes no
+result.  The walk keeps one usage buffer per op type, with the type's
+unit kinds interleaved step by step; under the single-vdd and multi-vdd
+cut the buffers are bytes (or wider unsigned items when a count may reach
 256), so a state's key is its packed header joined with one raw slice
-per type that still has unplaced nodes.  The lookup is inlined in the
-walk; states are held in two generations of STATE_GENERATION entries
-each.  A position whose lookups do not pay for themselves stops being
-looked up (see GATE_WARMUP); a skipped lookup cuts nothing, so this too
-changes no result.  FGDVS is left out: its switching charge depends on
-how every op binds, which the state does not capture.
+per type that still has unplaced nodes; the lookup is inlined in the
+walk.  Under FGDVS an open type's switch charges depend on how all its
+ops bind, so its part of the state is the binding its settled ops leave,
+the ops that bind first whatever the completion (``dvsched.settled``).
+States are held in two generations of STATE_GENERATION entries each.
+Only one prefix reaches a position up to the first with two moves, so
+lookups start after it.  A position whose lookups do not pay for
+themselves stops being looked up (see GATE_WARMUP); a skipped lookup
+cuts nothing, so this too changes no result.
 
 The prefix power counts dynamic and leakage and, under FGDVS, the switch
 charges of each closed type: a type whose last position is placed.  Its
@@ -70,6 +73,7 @@ for a leaf the front does not already cover.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import chain
@@ -125,11 +129,22 @@ MAX_WINDOW_STEPS = 800_000
 # multi-vdd cells of fir, lattice, ewf and volterra by replaying each search
 # with its recorded lookup answers, so that the walk is the same but no key
 # is built.  LOOKUP_COST stays 2, which every pinned counter assumes.
+# An FGDVS lookup also resumes the settled binding of the type just placed
+# (dvsched.settled): timed in the walk on a 2-core Xeon, 7 to 9 us a lookup,
+# key tables included, on the FGDVS cells of fir, iir, lattice, diffeq and
+# ewf (12 us in fir k=2's bb_first), against about 1.05 us an expansion of
+# ewf k=1's unkeyed walk.  So FGDVS has its own gate, FGDVS_GATE_WARMUP and
+# FGDVS_LOOKUP_COST: the warm-up bounds what a position where the cut never
+# hits costs.  A cost of 10 turns off no more positions on those cells but
+# costs iir k=2 30 of its 34 state prunes, and a warm-up of 4 walks ewf k=1
+# 11% further.
 # Gated-off positions neither look up nor store states, so they also stop
 # pushing useful states out of the table.  The decisions depend only on
 # counts, so every counter stays deterministic.
 GATE_WARMUP = 256
 LOOKUP_COST = 2
+FGDVS_GATE_WARMUP = 8
+FGDVS_LOOKUP_COST = 6
 _NEVER = float("inf")  # the power of a state not yet seen
 
 
@@ -338,29 +353,32 @@ def _run(
     # keeps their usage step-major: kind number `level` of the type at step s
     # sits at s * L + level, and a move's steps are those indices of its
     # type's buffer.  A buffer is a plain list, which the walk updates
-    # fastest, but bytes under the state cut (below).  ends[i] is where
-    # placed node i stops constraining its children: its end, clipped up to
-    # child_asap[i], the least asap among them.  A child's earliest start is
-    # the largest of its own asap and its parents' ends either way.
+    # fastest, but bytes under the single-vdd and multi-vdd state cut
+    # (below).  ends[i] is where placed node i stops constraining its
+    # children: its end, clipped up to child_asap[i], the least asap among
+    # them.  A child's earliest start is the largest of its own asap and its
+    # parents' ends either way.
     child_asap = [bound + 1] * n
     for i in range(n):
         for u in parents[i]:
             if asap_a[i] < child_asap[u]:
                 child_asap[u] = asap_a[i]
     ends = [0] * n
-    # State cut (single-vdd and multi-vdd): once positions 0..p-1 are
-    # placed, what any completion adds to area and power, and which
-    # completions the area caps allow, depend only on the prefix's state.
-    # A prefix whose state an earlier prefix reached at no higher power is
-    # cut: each of its leaves costs no less than the same completion of the
-    # earlier prefix, already offered to the front.  The state is the
-    # position, the area, and what these tables pick out per position p:
+    # State cut: once positions 0..p-1 are placed, what any completion adds
+    # to area and power, and which completions the area caps allow, depend
+    # only on the prefix's state.  A prefix whose state an earlier prefix
+    # reached at no higher power is cut: each of its leaves costs no less
+    # than the same completion of the earlier prefix, already offered to the
+    # front.  The state is the position, the area, and what these tables
+    # pick out per position p:
     #   frontier: each placed node with an unplaced child, by its ends entry
     #     (an end at or below child_asap constrains none of the children);
     #   live kinds: the kinds of every type with unplaced nodes, whose unit
     #     counts the walk still grows and the caps still check;
-    #   live types: the usage buffer of every type with unplaced nodes, from
-    #     the least asap of those nodes to the latency bound.
+    #   live types: under single-vdd and multi-vdd, the usage buffer of every
+    #     type with unplaced nodes, from the least asap of those nodes to the
+    #     latency bound; under FGDVS, each such type's settled binding and
+    #     unsettled ops (dvsched.settled).
     # One slice of a type's buffer, buf[lo * L:(bound + 1) * L], holds every
     # kind of the type over every step an unplaced node of the type can
     # occupy.  Values are packed with the narrowest code that holds max(n,
@@ -368,43 +386,53 @@ def _run(
     # position, area, frontier ends and live unit counts, then the raw bytes
     # of each live type's slice.  A buffer is then a bytearray, or for a
     # wider code a memoryview of one cast to that code.  Every piece's
-    # length is fixed by p, so equal keys mean equal states.  keying[p]
-    # holds the header's Struct.pack, the getters of its ends and unit
-    # counts, and the live types' buffers and slices.
-    state_cut = cfg.prune_dominance and not price.switching
+    # length is fixed by p, so equal keys mean equal states.  keying[p],
+    # built on p's first lookup, holds the header's Struct.pack, the getters
+    # of its ends and unit counts, and the live types' buffers and slices
+    # (under FGDVS, the live types and, per type, the least asap and the
+    # count of its unplaced nodes).
+    state_cut = cfg.prune_dominance
+    switching = price.switching
     code = next(c for c in "BHILQ" if max(n, bound + 1) < 1 << 8 * calcsize(c))
     sizes = [(bound + 2) * len(kinds) for kinds in type_kinds]
-    if not state_cut:
+    if not state_cut or switching:
         type_bufs: list = [[0] * size for size in sizes]
     elif code == "B":
         type_bufs = [bytearray(size) for size in sizes]
     else:
         type_bufs = [memoryview(bytearray(calcsize(code) * size)).cast(code) for size in sizes]
-    keying: list[tuple] = []
-    if state_cut:
-        last_child = list(range(n))
-        for i in range(n):
-            for u in parents[i]:
-                last_child[u] = i  # positions ascend: the last write is the last child
-        type_lo = [bound + 1] * len(type_names)  # per type, the least asap at p or later
-        lows = [()] * (n + 1)
-        for p in range(n - 1, -1, -1):
-            type_lo[pos_type[p]] = min(type_lo[pos_type[p]], asap_a[p])
-            lows[p] = tuple(type_lo)
-        open_nodes: list[int] = []
-        for p in range(n + 1):
-            if p:
-                open_nodes.append(p - 1)
-            open_nodes = [u for u in open_nodes if last_child[u] >= p]
-            live = [ti for ti, lo in enumerate(lows[p]) if lo <= bound]
-            live_kinds = sorted(kind for ti in live for kind in type_kinds[ti])
-            packing = Struct(f"{2 + len(open_nodes) + len(live_kinds)}{code}")
-            keying.append((
-                packing.pack, _getter(open_nodes), _getter(live_kinds),
-                tuple(type_bufs[ti] for ti in live),
-                tuple(slice(lows[p][ti] * len(type_kinds[ti]), (bound + 1) * len(type_kinds[ti]))
-                      for ti in live),
-            ))
+    keying: list[tuple | None] = [None] * (n + 1)
+    last_child = list(range(n))
+    lo_after: list[list[int]] = []  # per type, the least asap of its positions from each one on
+
+    def key_table(p: int) -> tuple:
+        if not lo_after:  # the first key table of the search: fill what every one reads
+            for i in range(n):
+                for u in parents[i]:
+                    last_child[u] = i  # positions ascend: the last write is the last child
+            for at in type_positions:
+                los = [bound + 1] * (len(at) + 1)
+                for k in range(len(at) - 1, -1, -1):
+                    los[k] = min(los[k + 1], asap_a[at[k]])
+                lo_after.append(los)
+        heads = [bisect_left(at, p) for at in type_positions]  # each type's first unplaced
+        lows = [los[k] for los, k in zip(lo_after, heads)]
+        open_nodes = [u for u in range(p) if last_child[u] >= p]
+        live = [ti for ti, lo in enumerate(lows) if lo <= bound]
+        live_kinds = sorted(kind for ti in live for kind in type_kinds[ti])
+        head = f"{2 + len(open_nodes) + len(live_kinds)}{code}"
+        if switching:
+            rooms = [len(at) - k for at, k in zip(type_positions, heads)]  # unplaced ops per type
+            keys = (Struct(f"{head}{len(live)}Q").pack, _getter(open_nodes), _getter(live_kinds),
+                    live, lows, rooms)
+        else:
+            keys = (Struct(head).pack, _getter(open_nodes), _getter(live_kinds),
+                    tuple(type_bufs[ti] for ti in live),
+                    tuple(slice(lows[ti] * len(type_kinds[ti]), (bound + 1) * len(type_kinds[ti]))
+                          for ti in live))
+        keying[p] = keys
+        return keys
+
     generation = STATE_GENERATION
     cur_max = [0] * n_kinds
     type_area = [0] * len(type_names)
@@ -412,6 +440,13 @@ def _run(
     durs = [0] * n
     binder = [None] * n  # per placed position, its op as the switch binder takes it
     type_charges: list[list[float]] = [[] for _ in type_names]  # per closed type
+    if state_cut and switching:
+        from .settled import settled_cut  # compiled only once an FGDVS search needs it
+
+        lookup, forget = settled_cut(
+            n, bound, type_names, pos_type, type_positions, caps, binder, type_area, cur_max,
+            ends, generation, cfg.debug_check,
+        )
 
     front = ParetoSet()
     # stair[a] is the least power of a member of area at most a
@@ -480,9 +515,14 @@ def _run(
 
     # Per position: [lookups, hits (each a state prune), expansions walked
     # under misses, the lookup count of the next gate test]; gate[p] is
-    # None once p is gated off, and always without the state cut.
-    tallies = [[0, 0, 0, GATE_WARMUP] for _ in range(n + 1)] if state_cut else []
-    gate: list[list[int] | None] = list(tallies) if state_cut else [None] * (n + 1)
+    # None once p is gated off, and always without the state cut.  Only one
+    # prefix reaches each position up to the first one with two moves, so
+    # the tallies start there, once moves() has built its table.
+    warmup, lookup_cost = (
+        (FGDVS_GATE_WARMUP, FGDVS_LOOKUP_COST) if switching else (GATE_WARMUP, LOOKUP_COST)
+    )
+    tallies: list[list[int]] = []
+    gate: list[list[int] | None] = [None] * (n + 1)
 
     # Per position and earliest start, the moves in walk order: starts
     # ascending, then fastest first, each ending by last_end.  Built the
@@ -497,8 +537,6 @@ def _run(
         [None] * (alap_a[i] - asap_a[i] + 1) for i in range(n)
     ]
 
-    switching = price.switching
-
     def moves(i: int, earliest: int) -> tuple[tuple, ...]:
         last, levels, width = last_end[i], levels_at[i], len(type_kinds[pos_type[i]])
         rest, base, nid, floor = bound_at[i], asap_a[i], order[i], child_asap[i]
@@ -511,6 +549,9 @@ def _run(
             if d <= last - t
         )
         tables[i][earliest - asap_a[i]] = table
+        if state_cut and not tallies and len(table) > 1:
+            tallies[:] = [[0, 0, 0, warmup] for _ in range(i + 1, n + 1)]
+            gate[i + 1:] = tallies
         return table
 
     # Seed the archive with the two list-scheduling extremes so the
@@ -629,32 +670,40 @@ def _run(
             if tally is not None:
                 # The state cut, unless the gate turns p off here.
                 looked, hit, below, test_at = tally
-                if looked == test_at and hit * below < LOOKUP_COST * looked * (looked - hit):
+                if looked == test_at and hit * below < lookup_cost * looked * (looked - hit):
                     # p is not on the stack, so every miss at p has been walked.
                     gate[p] = None
+                    if switching:
+                        forget(p)  # no lookup at p refreshes what it kept
                 else:
                     if looked == test_at:
                         tally[3] = 2 * test_at
                     tally[0] = looked + 1
-                    pack, ends_of, units_of, bufs, cuts = keying[p]
-                    key = b"".join([pack(p, area, *ends_of(ends), *units_of(cur_max)),
-                                    *map(getitem, bufs, cuts)])
-                    # Either way the state goes into the newer generation
-                    # with the lower of the two powers.
-                    seen = states.get(key)
-                    if seen is None:
-                        seen = older.get(key, _NEVER)
-                        if len(states) >= generation:
-                            older, states = states, {}
-                        states[key] = seen if seen <= power else power
-                    elif seen > power:
-                        states[key] = power
-                    # Exact compare: every completion of this prefix costs no
-                    # less than the same completion of the earlier one, whose
-                    # leaves were all offered to the front.
-                    if seen <= power:
+                    if switching:
+                        pruned = lookup(
+                            p, area, power + cur_sw + (sum(charges) if closes is not None else 0.0),
+                            keying[p] or key_table(p),
+                        )
+                    else:
+                        pack, ends_of, units_of, bufs, cuts = keying[p] or key_table(p)
+                        key = b"".join([pack(p, area, *ends_of(ends), *units_of(cur_max)),
+                                        *map(getitem, bufs, cuts)])
+                        # Either way the state goes into the newer generation
+                        # with the lower of the two powers.
+                        seen = states.get(key)
+                        if seen is None:
+                            seen = older.get(key, _NEVER)
+                            if len(states) >= generation:
+                                older, states = states, {}
+                            states[key] = seen if seen <= power else power
+                        elif seen > power:
+                            states[key] = power
+                        # Exact compare: every completion of this prefix costs
+                        # no less than the same completion of the earlier one,
+                        # whose leaves were all offered to the front.
+                        pruned = seen <= power
+                    if pruned:
                         tally[1] = hit + 1  # a state prune
-                        pruned = True
                     else:
                         entered[p] = expanded
             if not pruned:

@@ -31,6 +31,7 @@ from dvsched import (
     oracle_front,
     parse_dfg,
     schedule_cost,
+    settled,
     validate_schedule,
 )
 
@@ -317,13 +318,13 @@ def pinned(test_id, name, k, mode, counters, budget=Budget(), first=None):
         pinned("fir-0-ArchMode.MULTI_VDD-305", "fir", 0, ArchMode.MULTI_VDD,
                (179, 0, 66, 12)),
         pinned("ewf-0-ArchMode.FGDVS-5600", "ewf", 0, ArchMode.FGDVS,
-               (1_319, 0, 548, 0)),
+               (402, 0, 143, 19)),
         pinned("volterra-0-ArchMode.MULTI_VDD-117426", "volterra", 0, ArchMode.MULTI_VDD,
                (40_055, 0, 27_742, 1_773)),
         pinned("diffeq-1-ArchMode.FGDVS-8558", "diffeq", 1, ArchMode.FGDVS,
                (4_879, 0, 3_555, 0)),
         pinned("diffeq-2-ArchMode.FGDVS-23262", "diffeq", 2, ArchMode.FGDVS,
-               (17_001, 9_517, 3_989, 0), Budget(area_caps={"mul": 2, "add": 1, "comp": 1})),
+               (16_988, 9_508, 3_986, 1), Budget(area_caps={"mul": 2, "add": 1, "comp": 1})),
         pinned("fir-1-ArchMode.MULTI_VDD-19466", "fir", 1, ArchMode.MULTI_VDD,
                (275, 87, 25, 23), Budget(power_cap=230), first=(131, 56, 0, 8)),
         pinned("ewf-1-ArchMode.MULTI_VDD-8237", "ewf", 1, ArchMode.MULTI_VDD,
@@ -349,10 +350,12 @@ def test_fgdvs_switching_bounds_the_walk(default_lib):
     # Each type's switch charges enter the bound once its last op is
     # placed, so the walk reaches few leaves the front already covers:
     # costing them only at leaves walked 259,777 expansions to 16,462 leaves.
+    # The state cut, keyed by each open type's settled binding, then takes
+    # the walk from 85,966 expansions and 7,529 binds to these.
     g = load_bench("ewf")
     rep = bb_pareto(g, compute_timing(g, 1), default_lib, SearchConfig(mode=ArchMode.FGDVS))
     assert rep.completed
-    assert (rep.nodes_expanded, rep.leaves, rep.switch_binds) == (85_966, 58, 7_529)
+    assert (rep.nodes_expanded, rep.leaves, rep.switch_binds) == (17_775, 58, 1_045)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +456,7 @@ def _answers(g, t, lib, cfg) -> tuple:
 
 @pytest.fixture(scope="module")
 def state_cut_corpus() -> list[tuple]:
-    """Random single-vdd and multi-vdd searches: no budget, area caps and a
-    power cap."""
+    """Random searches in every mode: no budget, area caps and a power cap."""
     rng = random.Random(13)
     cases = []
     for j in range(24):
@@ -462,7 +464,7 @@ def state_cut_corpus() -> list[tuple]:
         g, lib = support.random_instance(rng, library_text=text)
         for k in (0, 1, 2):
             t = compute_timing(g, k)
-            for mode in (ArchMode.SINGLE_VDD, ArchMode.MULTI_VDD):
+            for mode in MODES:
                 budgets = [Budget()]
                 free = bb_pareto(g, t, lib, SearchConfig(mode=mode)).front
                 if len(free):
@@ -491,9 +493,11 @@ def test_state_gate_changes_no_answer(monkeypatch, state_cut_corpus):
     # A position the gate turns off is no longer looked up, which cuts
     # nothing: gating at the first lookup count (warm-up 1) or never gives
     # the same answers, with fewer lookups.
-    monkeypatch.setattr("dvsched.bb.GATE_WARMUP", 1 << 62)
+    for warmup in ("GATE_WARMUP", "FGDVS_GATE_WARMUP"):
+        monkeypatch.setattr(f"dvsched.bb.{warmup}", 1 << 62)
     never = [_answers(*case) for case in state_cut_corpus]
-    monkeypatch.setattr("dvsched.bb.GATE_WARMUP", 1)
+    for warmup in ("GATE_WARMUP", "FGDVS_GATE_WARMUP"):
+        monkeypatch.setattr(f"dvsched.bb.{warmup}", 1)
     eager = [_answers(*case) for case in state_cut_corpus]
     assert [a for a, _ in eager] == [a for a, _ in never]
     assert 0 < sum(c[1] for _, c in eager) < sum(c[1] for _, c in never)
@@ -515,18 +519,19 @@ def test_state_gate_turns_off_positions_whose_lookups_do_not_pay(monkeypatch, de
 
 
 def test_state_cut_runs_only_where_it_is_exact(default_lib):
-    fir, diffeq = load_bench("fir"), load_bench("diffeq")
+    # The cut runs under fgdvs too, keyed by the binding each open type's
+    # settled ops leave, and cuts ewf k=1 there.  With dominance pruning
+    # off, which must see the plain tree, no mode looks a state up.
+    fir, ewf = load_bench("fir"), load_bench("ewf")
     rep = bb_pareto(fir, compute_timing(fir, 2), default_lib, SearchConfig(mode=ArchMode.MULTI_VDD))
     assert rep.state_prunes > 0
-    # Not under fgdvs, whose switching charge the state does not capture,
-    # and not with dominance pruning off, which must see the plain tree.
-    assert bb_pareto(
-        diffeq, compute_timing(diffeq, 1), default_lib, SearchConfig(mode=ArchMode.FGDVS)
-    ).state_prunes == 0
+    rep = bb_pareto(ewf, compute_timing(ewf, 1), default_lib, SearchConfig(mode=ArchMode.FGDVS))
+    assert rep.state_prunes > 0
     diamonds = parse_dfg(support.DIAMONDS_DFG)
-    for mode in (ArchMode.SINGLE_VDD, ArchMode.MULTI_VDD):
+    for mode in MODES:
         cfg = SearchConfig(mode=mode, prune_dominance=False)
-        assert bb_pareto(diamonds, compute_timing(diamonds, 2), default_lib, cfg).state_prunes == 0
+        rep = bb_pareto(diamonds, compute_timing(diamonds, 2), default_lib, cfg)
+        assert rep.state_prunes == rep.state_lookups == 0
 
 
 def _diamond_chain(m: int):
@@ -561,10 +566,12 @@ def test_state_cut_with_wide_keys(default_lib):
 
 def test_debug_check_recounts_the_usage_buffers(state_cut_corpus, default_lib):
     # Under debug_check each leaf also rebuilds the usage buffers (one per
-    # type, kinds interleaved: bytes under the state cut, a list without
-    # it) and every kind's peak from the schedule, and raises on a
-    # mismatch; so these searches pass only if the walk's incremental
-    # writes and undos leave exactly what a fresh count gives.
+    # type, kinds interleaved: bytes under the single-vdd and multi-vdd
+    # state cut, a list otherwise) and every kind's peak from the schedule,
+    # and each fgdvs lookup binds every open type's settled ops afresh,
+    # and raises on a mismatch; so these searches pass only if the walk's
+    # incremental writes and undos, and the resumed settled bindings, are
+    # exactly what a fresh count gives.
     cases = state_cut_corpus[::6]
     g = _diamond_chain(100)
     cases.append((g, compute_timing(g, 1), default_lib, SearchConfig(mode=ArchMode.MULTI_VDD)))
@@ -575,6 +582,43 @@ def test_debug_check_recounts_the_usage_buffers(state_cut_corpus, default_lib):
             assert rep.completed
             leaves += rep.leaves
     assert leaves > 1000
+    assert any(cfg.mode is ArchMode.FGDVS for _g, _t, _lib, cfg in cases)
+
+
+def test_settled_binding_drops_the_unit_counts_a_type_can_no_longer_reach():
+    # A type ends with at most its count now plus one unit per unplaced op,
+    # so the counts a settled binding covers shrink as the type's ops are
+    # placed, also where no op settles: with 6 of these 7 adds placed the
+    # binding covers 2 and 3 units, not the 4 it covered one op earlier.
+    # debug_check binds afresh over the same counts at every lookup.
+    g = parse_dfg(
+        "name shrink\n" + "".join(f"node {i} add\n" for i in range(1, 8))
+        + "edge 2 -> 7\nedge 7 -> 4\nedge 1 -> 3\nedge 4 -> 3\n"
+        + "edge 1 -> 5\nedge 2 -> 5\nedge 1 -> 6\nedge 5 -> 6\n"
+    )
+    lib = load_resource_library(
+        "type add\n"
+        "level vdd=1.00 cycles=1 pdyn=17.76 plk=1.00 psw=1.53\n"
+        "level vdd=0.81 cycles=2 pdyn=6.97 plk=0.79 psw=1.18\n"
+    )
+    t = compute_timing(g, 1)
+    rep = bb_pareto(g, t, lib, SearchConfig(mode=ArchMode.FGDVS, debug_check=True))
+    assert rep.completed and rep.state_lookups > 0
+    plain = bb_pareto(g, t, lib, SearchConfig(mode=ArchMode.FGDVS, prune_dominance=False))
+    assert rep.front.sorted_entries() == plain.front.sorted_entries()
+
+
+def test_debug_check_raises_on_a_broken_settled_binding(monkeypatch, default_lib):
+    # A resumption that forgets the newly placed ops leaves a settled
+    # binding that binding afresh does not give; debug_check says so.
+    g = load_bench("ewf")
+    t = compute_timing(g, 0)
+    cfg = SearchConfig(mode=ArchMode.FGDVS, debug_check=True)
+    assert bb_pareto(g, t, default_lib, cfg).state_lookups > 0
+    real = settled._settle
+    monkeypatch.setattr("dvsched.settled._settle", lambda state, _new, *rest: real(state, [], *rest))
+    with pytest.raises(AssertionError, match="settled binding"):
+        bb_pareto(g, t, default_lib, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -735,6 +779,9 @@ def test_deep_chain_needs_no_recursion_limit(monkeypatch, default_lib):
         rep = bb_first(g, t, default_lib, cfg)
         assert rep.completed and rep.first_solution[0].area_total == 1
         assert rep.nodes_expanded == n
+        # Every position has one move, so one prefix reaches each: the
+        # state cut looks nothing up.
+        assert rep.state_lookups == 0
 
 
 def test_empty_graph_root_is_the_one_leaf(default_lib):

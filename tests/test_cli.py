@@ -391,7 +391,9 @@ def test_budget_bb_first_time_limit_writes_sidecar(tmp_path, capsys):
     data = json.loads(side.read_text())
     assert data.pop("elapsed") >= 0.2
     completed, expanded, *_prunes, state_prunes, _leaves = search_counters(data)
-    assert not completed and expanded > 0 and state_prunes == 0  # fgdvs has no state cut
+    # fgdvs cuts repeated states too; how many by the limit depends on the box.
+    assert not completed and expanded > 0 and 0 <= state_prunes <= data["state_lookups"]
+    assert data["state_lookups"] > 0
     assert data == {
         "command": "budget", "dfg": "volterra", "mode": "fgdvs", "k": 2,
         "algorithm": "bb-first", "completed": False, **{
